@@ -140,12 +140,14 @@ inline constexpr const char* kRegistered[] = {
     "serve.wire.errors",  // counter
     "serve.wire.requests",  // counter
     "store.snapshot.bytes_written",  // counter
+    "store.snapshot.compactions",  // counter
     "store.snapshot.corrupt",  // counter
     "store.snapshot.divergence",  // counter
     "store.snapshot.loads",  // counter
     "store.snapshot.mismatch",  // counter
     "store.snapshot.replayed_queries",  // counter
     "store.snapshot.resumed",  // counter
+    "store.snapshot.syncs",  // counter
     "store.snapshot.writes",  // counter
     "support.pool.tasks",  // counter
     "support.pool.threads",  // gauge

@@ -407,6 +407,41 @@ TEST(ServeDaemon, ResumeRefusesMismatchedSpecFingerprint) {
   EXPECT_TRUE(find_line(second.lines, "resumed", "a1").empty());
 }
 
+// Counter-first linearity: journaling one more job costs that job's bytes,
+// whatever the journal already holds. store.snapshot.bytes_written is a
+// deterministic count, so the bound is tight.
+double journal_bytes_per_job(std::size_t jobs) {
+  TempCheckpoint file("linear_" + std::to_string(jobs));
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  config.checkpoint_path = file.path();
+  std::vector<std::string> input;
+  for (std::size_t i = 0; i < jobs; ++i) {
+    std::string id = "j";
+    id += std::to_string(i);
+    input.push_back(i % 2 == 0
+                        ? query_job(id, i, 1, {challenge_string(32, i)})
+                        : auth_job(id, i, i, 8));
+    if (i % 50 == 49) input.push_back(kRun);
+  }
+  input.push_back(kDrain);
+  const std::uint64_t bytes0 = counter_value("store.snapshot.bytes_written");
+  const ServeRun run = run_daemon(config, std::move(input));
+  EXPECT_EQ(run.status, 0);
+  EXPECT_EQ(count_type(run.lines, "outcome"), jobs);
+  return static_cast<double>(counter_value("store.snapshot.bytes_written") -
+                             bytes0) /
+         static_cast<double>(jobs);
+}
+
+TEST(ServeDaemon, JournalBytesPerJobStayFlatAsTheJournalGrows) {
+  const double at_500 = journal_bytes_per_job(500);
+  const double at_2000 = journal_bytes_per_job(2000);
+  EXPECT_GT(at_500, 0.0);
+  EXPECT_LT(at_2000, 1.1 * at_500) << "per-job journal cost grows with history";
+  EXPECT_GT(at_2000, 0.9 * at_500);
+}
+
 // ------------------------------------------- budget-refill continuation
 
 // Satellite regression (ROADMAP item 5 / DESIGN.md §16): a lockdown-tripped
