@@ -5,6 +5,7 @@
 // targets uniformly.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "boolfn/boolean_function.hpp"
@@ -19,6 +20,10 @@ class LinearModel final : public boolfn::BooleanFunction {
 
   std::size_t num_vars() const override { return num_vars_; }
   int eval_pm(const BitVec& x) const override;  // sgn(0) := +1
+  /// Scores the batch with the logistic fit's row kernel
+  /// (ml/row_score_detail.hpp); bit-equal to eval_pm element-wise.
+  void eval_pm_batch(std::span<const BitVec> xs,
+                     std::span<int> out) const override;
   std::string describe() const override { return name_; }
 
   /// Real-valued score w . phi(x).
@@ -27,6 +32,9 @@ class LinearModel final : public boolfn::BooleanFunction {
   const std::vector<double>& weights() const { return weights_; }
 
  private:
+  /// phi(x), checked against the model's arity and weight count.
+  std::vector<double> features_of(const BitVec& x) const;
+
   std::size_t num_vars_;
   std::vector<double> weights_;
   FeatureMap features_;

@@ -5,11 +5,15 @@
 // PAC guarantees under another.
 //
 // Plain batch gradient descent with an adaptive per-dimension step (RProp),
-// which is what the original PUF modeling-attack papers used.
+// which is what the original PUF modeling-attack papers used. The training
+// loop runs over one flat row-major feature buffer, four rows at a time;
+// its summation order is part of the determinism contract (DESIGN.md §11,
+// "Logistic fit kernel").
 #pragma once
 
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "ml/linear_model.hpp"
@@ -50,6 +54,11 @@ class LogisticRegression {
                         LogisticResult* stats = nullptr) const;
 
  private:
+  /// The training loop over `y.size()` rows of `dim` features each, stored
+  /// row-major in X. fit() and fit_model() both validate, flatten and call it.
+  LogisticResult fit_rows(std::span<const double> X, std::size_t dim,
+                          const std::vector<int>& y, support::Rng& rng) const;
+
   LogisticConfig config_;
 };
 

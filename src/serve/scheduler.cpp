@@ -184,9 +184,12 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   const std::string block = pm_string(responses);
   double accuracy = 0.0;
   if (challenges.size() >= 2) {
-    obs::TraceSpan fit_span("serve.job.fit");
-    ml::LinearModel hypothesis = ml::LogisticRegression().fit_model(
-        challenges, responses, ml::parity_with_bias, rng);
+    // The fit span closes before the eval span opens: siblings, not nested.
+    const ml::LinearModel hypothesis = [&] {
+      obs::TraceSpan fit_span("serve.job.fit");
+      return ml::LogisticRegression().fit_model(
+          challenges, responses, ml::parity_with_bias, rng);
+    }();
     obs::TraceSpan eval_span("serve.job.eval");
     puf::CrpSet holdout = puf::CrpSet::collect_uniform(*model, spec.eval, rng);
     accuracy = holdout.accuracy_of(hypothesis);

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ml/features.hpp"
+#include "ml/linear_model.hpp"
 #include "ml/oracle.hpp"
 #include "ml/robust/faults.hpp"
 #include "ml/robust/resilient.hpp"
@@ -323,6 +325,77 @@ TEST(BatchOracle, EquivalenceCallCountersResetAndPersist) {
   EXPECT_FALSE(oracle.counterexample(target).has_value());
   EXPECT_EQ(oracle.calls(), 1u);
   EXPECT_EQ(oracle.lifetime_calls(), 3u);
+}
+
+// ------------------------------------------------------ linear hypotheses
+
+// LinearModel::eval_pm_batch scores four rows at a time with the logistic
+// fit's kernel; it must equal the scalar eval_pm for every element and
+// every batch size, including the blocks' ragged tails.
+void expect_linear_batch_parity(const ml::LinearModel& model,
+                                std::uint64_t seed) {
+  for (const std::size_t m : kBatchSizes) {
+    Rng rng(seed);
+    const auto xs = random_challenges(model.num_vars(), m, rng);
+    std::vector<int> scalar(m), batch(m, 0);
+    for (std::size_t i = 0; i < m; ++i) scalar[i] = model.eval_pm(xs[i]);
+    model.eval_pm_batch(xs, batch);
+    EXPECT_EQ(batch, scalar) << model.describe() << " m=" << m;
+  }
+}
+
+std::vector<double> gaussian_weights(std::size_t dim, Rng& rng) {
+  std::vector<double> w(dim);
+  for (auto& v : w) v = rng.gaussian();
+  return w;
+}
+
+TEST(BatchLinear, ParityFeaturesMatchScalar) {
+  Rng rng(61);
+  const ml::LinearModel model(24, gaussian_weights(25, rng),
+                              ml::parity_with_bias, "parity");
+  expect_linear_batch_parity(model, 62);
+}
+
+TEST(BatchLinear, PmFeaturesMatchScalar) {
+  Rng rng(63);
+  const ml::LinearModel model(70, gaussian_weights(71, rng),
+                              ml::pm_with_bias, "pm");
+  expect_linear_batch_parity(model, 64);
+}
+
+TEST(BatchLinear, MonomialFeaturesMatchScalar) {
+  Rng rng(65);
+  const ml::LinearModel model(
+      9, gaussian_weights(46, rng),
+      [](const BitVec& x) { return ml::monomial_features(x, 2); },
+      "monomial2");
+  expect_linear_batch_parity(model, 66);
+}
+
+TEST(BatchLinear, ZeroScoreIsPlusOne) {
+  // Integer weights make w . phi exactly 0 whenever bits 0 and 1 agree:
+  // sgn(0) := +1 on both planes. A negative score still maps to -1.
+  const ml::LinearModel model(5, {1.0, -1.0, 0.0, 0.0, 0.0, 0.0},
+                              ml::pm_with_bias, "tie");
+  expect_linear_batch_parity(model, 67);
+  const std::vector<BitVec> xs{BitVec::from_string("00000"),
+                               BitVec::from_string("11000"),
+                               BitVec::from_string("10000")};
+  std::vector<int> out(xs.size(), 0);
+  model.eval_pm_batch(xs, out);
+  EXPECT_EQ(out, (std::vector<int>{+1, +1, -1}));
+  EXPECT_EQ(model.score(xs[0]), 0.0);
+}
+
+TEST(BatchLinear, RejectsMismatchedInputs) {
+  Rng rng(68);
+  const ml::LinearModel model(6, gaussian_weights(7, rng), ml::pm_with_bias);
+  std::vector<int> out(1);
+  const std::vector<BitVec> wrong_arity{BitVec(5)};
+  EXPECT_THROW(model.eval_pm_batch(wrong_arity, out), std::invalid_argument);
+  const std::vector<BitVec> two{BitVec(6), BitVec(6)};
+  EXPECT_THROW(model.eval_pm_batch(two, out), std::invalid_argument);
 }
 
 // ------------------------------------------------- chunk/batch composition

@@ -12,6 +12,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serve/daemon.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"
@@ -293,6 +294,36 @@ TEST(ServeDaemon, OutputStreamIsByteStableAcrossThreadCounts) {
     EXPECT_EQ(run.status, 0);
     EXPECT_EQ(run.joined, reference.joined) << "threads=" << threads;
   }
+}
+
+// ---------------------------------------------------------- job spans
+
+TEST(ServeDaemon, AttackFitAndEvalSpansAreSiblings) {
+  PoolSizeGuard guard;
+  support::set_pool_thread_count(1);
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  obs::Tracer::global().clear();
+  const ServeRun run =
+      run_daemon(config, {attack_job("s1", 12, 3, 40, 60, ""), kDrain});
+  ASSERT_EQ(run.status, 0);
+  ASSERT_EQ(count_type(run.lines, "outcome"), 1u);
+
+  const auto events = obs::Tracer::global().events();
+  obs::Tracer::global().clear();
+  const obs::TraceEvent* fit = nullptr;
+  const obs::TraceEvent* eval = nullptr;
+  for (const auto& e : events) {
+    if (e.name == "serve.job.fit") fit = &e;
+    if (e.name == "serve.job.eval") eval = &e;
+  }
+  ASSERT_NE(fit, nullptr);
+  ASSERT_NE(eval, nullptr);
+  // The held-out evaluation is not part of the fit: both hang off the same
+  // parent.
+  EXPECT_NE(eval->parent, static_cast<std::ptrdiff_t>(fit->id));
+  EXPECT_EQ(eval->parent, fit->parent);
+  EXPECT_EQ(eval->depth, fit->depth);
 }
 
 // --------------------------------------------------- malformed requests

@@ -8,9 +8,9 @@
 // finished job; --resume serves journaled outcomes back after a crash.
 //
 // Example (see README "Serving mode"):
-//   printf '%s\n%s\n' \
-//     '{"type":"job","id":"a1","kind":"auth","token":12345,"seed":7,"rounds":16}' \
-//     '{"type":"run"}' | pitfalls-served --tokens 1000000 --seed 42
+//   job='{"type":"job","id":"a1","kind":"auth","token":12345,"seed":7,"rounds":16}'
+//   printf '%s\n%s\n' "$job" '{"type":"run"}' |
+//     pitfalls-served --tokens 1000000 --seed 42
 
 #include <cstdint>
 #include <cstdio>
