@@ -9,9 +9,7 @@
 //   * feed-forward arbiter PUF (representation mismatch: same attack);
 //   * and the Table I "general bound" per construction as the analytic
 //     anchor the curves should be compared against.
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "core/bounds.hpp"
 #include "core/experiment.hpp"
@@ -63,21 +61,7 @@ int main(int argc, char** argv) {
   // not re-fit on resume. All table values are deterministic, so a resumed
   // run is byte-identical to an uninterrupted one (the kill/resume gate
   // asserts exactly that).
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 11,
-          std::string("learning_curves.v1.smoke=") +
-              (reporter.smoke() ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_learning_curves: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
+  const auto session = store::open_bench_session(reporter, 11);
   std::cout << "== Modeling-attack learning curves (Ruehrmair product-of-"
                "LTFs model [8], parity features, n = 64) ==\n\n";
 
@@ -118,12 +102,7 @@ int main(int argc, char** argv) {
           w.f64(v);
         },
         [](support::snapshot::SectionReader& r) { return r.f64(); });
-    store::note_cell_completed(session.get());
-    if (session != nullptr && store::termination_requested()) {
-      std::cerr << "bench_learning_curves: termination requested; "
-                   "checkpoint flushed, resume with --resume\n";
-      std::exit(143);
-    }
+    store::end_bench_cell(session.get(), reporter);
     return accuracy;
   };
 

@@ -13,9 +13,7 @@
 // baseline pins that down. Per-attack wall time feeds the
 // attack.sat_attack.seconds histogram so compare_bench.py (diff and
 // --trend) tracks the p50 across snapshots.
-#include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "attack/sat_attack.hpp"
 #include "circuit/generator.hpp"
@@ -42,6 +40,36 @@ struct Workload {
   Netlist netlist;
 };
 
+/// One (circuit, key size) cell's table inputs, stored as "<cell>.outcome".
+struct AttackCell {
+  attack::SatAttackResult result;
+  double seconds = 0.0;
+  bool exact = false;
+};
+
+void put_attack_cell(support::snapshot::SectionWriter& w,
+                     const AttackCell& c) {
+  store::put_bitvec(w, c.result.key);
+  w.u64(c.result.dip_iterations);
+  w.u64(c.result.oracle_queries);
+  w.u64(c.result.solver_stats.conflicts);
+  w.u8(c.result.success ? 1 : 0);
+  w.u8(c.exact ? 1 : 0);
+  w.f64(c.seconds);
+}
+
+AttackCell get_attack_cell(support::snapshot::SectionReader& r) {
+  AttackCell c;
+  c.result.key = store::get_bitvec(r);
+  c.result.dip_iterations = static_cast<std::size_t>(r.u64());
+  c.result.oracle_queries = static_cast<std::size_t>(r.u64());
+  c.result.solver_stats.conflicts = r.u64();
+  c.result.success = r.u8() != 0;
+  c.exact = r.u8() != 0;
+  c.seconds = r.f64();
+  return c;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -51,20 +79,7 @@ int main(int argc, char** argv) {
   // their DIP observations (resume replays them — same key, DIPs and
   // conflicts, no repeated oracle queries); finished cells store their full
   // result row, including the measured seconds, and are not re-run.
-  std::unique_ptr<store::CheckpointSession> session;
-  if (reporter.checkpoint_enabled()) {
-    store::install_termination_handler();
-    try {
-      session = std::make_unique<store::CheckpointSession>(
-          reporter.checkpoint_path(), 7,
-          std::string("sat_attack.v1.smoke=") + (reporter.smoke() ? "1" : "0"),
-          reporter.resume());
-    } catch (const support::snapshot::SnapshotError& error) {
-      std::cerr << "bench_sat_attack: unusable checkpoint path "
-                << reporter.checkpoint_path() << ": " << error.what() << "\n";
-      return 1;
-    }
-  }
+  const auto session = store::open_bench_session(reporter, 7);
 
   std::cout << "== SAT attack on XOR/XNOR-locked circuits ==\n\n";
 
@@ -117,54 +132,27 @@ int main(int argc, char** argv) {
       const LockedCircuit locked =
           lock::lock_random_xor(workload.netlist, key_bits, lock_rng);
 
-      attack::SatAttackResult result;
-      double seconds = 0.0;
-      bool exact = false;
-      if (session != nullptr && session->has_section(cell + ".result")) {
-        auto r = session->reader(cell + ".result");
-        result.key = store::get_bitvec(r);
-        result.dip_iterations = static_cast<std::size_t>(r.u64());
-        result.oracle_queries = static_cast<std::size_t>(r.u64());
-        result.solver_stats.conflicts = r.u64();
-        result.success = r.u8() != 0;
-        exact = r.u8() != 0;
-        seconds = r.f64();
-      } else {
-        CircuitOracle oracle = CircuitOracle::from_netlist(workload.netlist);
-        store::AttackObservationJournal journal(session.get(), cell + ".log");
-        attack_config.journal = &journal;
-
-        core::Stopwatch watch;
-        try {
-          result = attack::sat_attack(locked, oracle, attack_config);
-        } catch (const store::ReplayDivergenceError&) {
-          // Stale journal (config/code drift): drop it, run the cell clean.
-          session->remove_section(cell + ".log");
-          CircuitOracle retry_oracle =
-              CircuitOracle::from_netlist(workload.netlist);
-          store::AttackObservationJournal clean_journal(session.get(),
-                                                        cell + ".log");
-          attack_config.journal = &clean_journal;
-          result = attack::sat_attack(locked, retry_oracle, attack_config);
-        }
-        seconds = watch.seconds();
-
-        exact = result.success &&
-                attack::keys_equivalent(workload.netlist, locked, result.key);
-        if (session != nullptr) {
-          auto& w = session->reset_section(cell + ".result");
-          store::put_bitvec(w, result.key);
-          w.u64(result.dip_iterations);
-          w.u64(result.oracle_queries);
-          w.u64(result.solver_stats.conflicts);
-          w.u8(result.success ? 1 : 0);
-          w.u8(exact ? 1 : 0);
-          w.f64(seconds);
-          session->remove_section(cell + ".log");
-          session->flush();
-        }
-      }
-      attack_seconds.observe(seconds);
+      const AttackCell row = store::checkpointed_unit<AttackCell>(
+          session.get(), cell,
+          [&] {
+            CircuitOracle oracle =
+                CircuitOracle::from_netlist(workload.netlist);
+            store::AttackObservationJournal journal(session.get(),
+                                                    cell + ".log");
+            attack::SatAttackConfig config = attack_config;
+            config.journal = &journal;
+            AttackCell out;
+            core::Stopwatch watch;
+            out.result = attack::sat_attack(locked, oracle, config);
+            out.seconds = watch.seconds();
+            out.exact = out.result.success &&
+                        attack::keys_equivalent(workload.netlist, locked,
+                                                out.result.key);
+            return out;
+          },
+          put_attack_cell, get_attack_cell);
+      const attack::SatAttackResult& result = row.result;
+      attack_seconds.observe(row.seconds);
       total_dips += result.dip_iterations;
       table.add_row({workload.name,
                      std::to_string(workload.netlist.num_inputs()),
@@ -173,12 +161,8 @@ int main(int argc, char** argv) {
                      std::to_string(result.dip_iterations),
                      std::to_string(result.oracle_queries),
                      std::to_string(result.solver_stats.conflicts),
-                     Table::fmt(seconds, 3), exact ? "yes" : "NO"});
-      if (session != nullptr && store::termination_requested()) {
-        std::cerr << "bench_sat_attack: termination requested; checkpoint "
-                     "flushed, resume with --resume\n";
-        std::exit(143);
-      }
+                     Table::fmt(row.seconds, 3), row.exact ? "yes" : "NO"});
+      store::end_bench_cell(session.get(), reporter);
     }
   }
   reporter.print(std::cout, table);

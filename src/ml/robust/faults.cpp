@@ -61,11 +61,10 @@ std::size_t FaultyMembershipOracle::remaining_budget() const {
              : config_.query_budget - raw_queries_;
 }
 
-int FaultyMembershipOracle::query_pm(const BitVec& x) {
+FaultyMembershipOracle::Draw FaultyMembershipOracle::draw(const BitVec& x) {
   if (raw_queries_ >= config_.query_budget) {
     budget_counter_->add(1);
-    throw QueryBudgetExhaustedError(
-        "oracle query budget exhausted (lockdown)");
+    return Draw::kRefused;
   }
   // Per-query stream keyed by the raw index: the fault sequence is a pure
   // function of (seed, index, challenge) and therefore identical across
@@ -77,26 +76,25 @@ int FaultyMembershipOracle::query_pm(const BitVec& x) {
   if (config_.drop_rate > 0.0 && q.bernoulli(config_.drop_rate)) {
     ++drops_;
     drop_counter_->add(1);
-    throw TransientFaultError("oracle gave no response (transient fault)");
+    return Draw::kDropped;
   }
 
-  int response = inner_->query_pm(x);
-
+  bool flipped = false;
   if (burst_remaining_ > 0) {
     --burst_remaining_;
-    response = -response;
+    flipped = !flipped;
     ++flips_;
     burst_counter_->add(1);
   } else if (config_.burst_rate > 0.0 && q.bernoulli(config_.burst_rate)) {
     // The starting query is the first flipped query of the burst.
     burst_remaining_ = config_.burst_length - 1;
-    response = -response;
+    flipped = !flipped;
     ++flips_;
     burst_counter_->add(1);
   }
 
   if (config_.flip_rate > 0.0 && q.bernoulli(config_.flip_rate)) {
-    response = -response;
+    flipped = !flipped;
     ++flips_;
     flip_counter_->add(1);
   }
@@ -111,77 +109,47 @@ int FaultyMembershipOracle::query_pm(const BitVec& x) {
     support::Rng margin_rng = support::rng_for_chunk(margin_seed_, x.hash());
     const double margin = std::abs(margin_rng.gaussian());
     if (q.gaussian(0.0, config_.metastable_sigma) < -margin) {
-      response = -response;
+      flipped = !flipped;
       ++flips_;
       metastable_counter_->add(1);
     }
   }
+  return flipped ? Draw::kFlipped : Draw::kAnswered;
+}
 
-  return response;
+void FaultyMembershipOracle::raise(Draw fault) {
+  if (fault == Draw::kRefused)
+    throw QueryBudgetExhaustedError("oracle query budget exhausted (lockdown)");
+  if (fault == Draw::kDropped)
+    throw TransientFaultError("oracle gave no response (transient fault)");
+}
+
+int FaultyMembershipOracle::query_pm(const BitVec& x) {
+  // The coins never read the inner response, so drawing them all before
+  // the inner query changes no draw.
+  const Draw d = draw(x);
+  raise(d);
+  const int response = inner_->query_pm(x);
+  return d == Draw::kFlipped ? -response : response;
 }
 
 void FaultyMembershipOracle::query_pm_batch(std::span<const BitVec> xs,
                                             std::span<int> out) {
   PITFALLS_REQUIRE(xs.size() == out.size(),
                    "batch spans must have equal length");
-  // Phase 1 — fault plan. Walk the elements in order, drawing each one's
-  // per-query stream exactly as query_pm does (drop, burst, flip,
-  // metastable). The coins never read the inner response, so deferring the
-  // inner queries to one batch call cannot change a single draw. A budget
-  // stop or drop ends the plan at that element, matching the scalar loop.
-  enum class Stop { kNone, kBudget, kDrop };
-  Stop stop = Stop::kNone;
+  // Phase 1 — fault plan: draw each element's fault exactly as query_pm
+  // does, in order. A budget stop or drop ends the plan at that element,
+  // matching the scalar loop.
+  Draw stop = Draw::kAnswered;
   std::vector<char> flip(xs.size(), 0);
   std::size_t ready = 0;
-  for (std::size_t j = 0; j < xs.size(); ++j) {
-    if (raw_queries_ >= config_.query_budget) {
-      budget_counter_->add(1);
-      stop = Stop::kBudget;
+  for (; ready < xs.size(); ++ready) {
+    const Draw d = draw(xs[ready]);
+    if (d == Draw::kRefused || d == Draw::kDropped) {
+      stop = d;
       break;
     }
-    support::Rng q = support::rng_for_chunk(seed_, raw_queries_);
-    ++raw_queries_;
-    count();
-
-    if (config_.drop_rate > 0.0 && q.bernoulli(config_.drop_rate)) {
-      ++drops_;
-      drop_counter_->add(1);
-      stop = Stop::kDrop;
-      break;
-    }
-
-    bool flipped = false;
-    if (burst_remaining_ > 0) {
-      --burst_remaining_;
-      flipped = !flipped;
-      ++flips_;
-      burst_counter_->add(1);
-    } else if (config_.burst_rate > 0.0 && q.bernoulli(config_.burst_rate)) {
-      burst_remaining_ = config_.burst_length - 1;
-      flipped = !flipped;
-      ++flips_;
-      burst_counter_->add(1);
-    }
-
-    if (config_.flip_rate > 0.0 && q.bernoulli(config_.flip_rate)) {
-      flipped = !flipped;
-      ++flips_;
-      flip_counter_->add(1);
-    }
-
-    if (config_.metastable_sigma > 0.0) {
-      support::Rng margin_rng =
-          support::rng_for_chunk(margin_seed_, xs[j].hash());
-      const double margin = std::abs(margin_rng.gaussian());
-      if (q.gaussian(0.0, config_.metastable_sigma) < -margin) {
-        flipped = !flipped;
-        ++flips_;
-        metastable_counter_->add(1);
-      }
-    }
-
-    flip[j] = flipped ? 1 : 0;
-    ready = j + 1;
+    flip[ready] = d == Draw::kFlipped ? 1 : 0;
   }
 
   // Phase 2 — one inner batch for the clean prefix, then apply the planned
@@ -190,10 +158,7 @@ void FaultyMembershipOracle::query_pm_batch(std::span<const BitVec> xs,
   for (std::size_t j = 0; j < ready; ++j)
     if (flip[j] != 0) out[j] = -out[j];
   if (!xs.empty()) record_batch(ready);
-  if (stop == Stop::kBudget)
-    throw QueryBudgetExhaustedError("oracle query budget exhausted (lockdown)");
-  if (stop == Stop::kDrop)
-    throw TransientFaultError("oracle gave no response (transient fault)");
+  raise(stop);
 }
 
 }  // namespace pitfalls::ml::robust

@@ -143,6 +143,14 @@ class FaultyMembershipOracle final : public MembershipOracle {
   std::size_t responses_dropped() const { return drops_; }
 
  private:
+  /// One raw query's fault draw, shared by query_pm and the plan pass of
+  /// query_pm_batch: budget check, then the per-query stream's drop, burst,
+  /// flip and metastable coins, advancing the channel and its counters.
+  enum class Draw { kAnswered, kFlipped, kDropped, kRefused };
+  Draw draw(const BitVec& x);
+  /// Throw the error a kRefused or kDropped draw signals; no-op otherwise.
+  static void raise(Draw fault);
+
   MembershipOracle* inner_;
   FaultConfig config_;
   std::uint64_t seed_;

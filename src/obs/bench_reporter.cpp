@@ -42,9 +42,10 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
       if (trace_path_.empty()) trace_path_ = default_trace_path;
     } else if (arg == "--checkpoint" || arg == "--resume") {
       resume_ = resume_ || arg == "--resume";
+      // A bare flag keeps a path an earlier --checkpoint=path gave.
       if (i + 1 < argc && argv[i + 1][0] != '-')
         checkpoint_path_ = argv[++i];
-      else
+      else if (checkpoint_path_.empty())
         checkpoint_path_ = default_checkpoint_path;
     } else if (arg.rfind("--checkpoint=", 0) == 0 ||
                arg.rfind("--resume=", 0) == 0) {

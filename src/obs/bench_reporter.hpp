@@ -53,6 +53,7 @@ class BenchReporter {
   /// bench_table1_bounds); it names the default output file.
   BenchReporter(std::string name, int argc, char** argv);
 
+  const std::string& name() const { return name_; }
   bool smoke() const { return smoke_; }
   bool json_enabled() const { return !json_path_.empty(); }
   bool trace_enabled() const { return !trace_path_.empty(); }

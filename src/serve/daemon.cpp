@@ -12,19 +12,6 @@ namespace pitfalls::serve {
 
 namespace {
 
-std::string error_document(const std::string& id, const std::string& message) {
-  obs::JsonWriter writer;
-  writer.begin_object();
-  writer.key("type").value("error");
-  if (id.empty())
-    writer.key("id").null_value();
-  else
-    writer.key("id").value(id);
-  writer.key("message").value(message);
-  writer.end_object();
-  return writer.str();
-}
-
 std::uint64_t kill_after_from_env() {
   const char* env = std::getenv("PITFALLS_SERVE_KILL_AFTER_JOBS");
   if (env == nullptr) return 0;
@@ -111,9 +98,11 @@ void Daemon::run_pending(LineChannel& channel) {
   std::vector<char> skip(count, 0);
   std::vector<JobResult> blocks(count);
   for (std::size_t i = 0; i < count; ++i) {
-    specs.push_back(pending_[i].spec);
-    if (pending_[i].journaled && journaled_block(specs[i], blocks[i]))
+    specs.push_back(std::move(pending_[i].spec));
+    if (pending_[i].journaled) {
+      blocks[i] = std::move(pending_[i].block);
       skip[i] = 1;
+    }
   }
   scheduler_.run_wave(specs, skip, blocks);
   for (std::size_t i = 0; i < count; ++i) {
@@ -151,14 +140,14 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
     request = obs::JsonValue::parse(line);
   } catch (const std::exception& error) {
     registry.counter("serve.wire.errors").add();
-    channel.write_line(error_document("", error.what()));
+    channel.write_line(error_line("", error.what()));
     return Request::kContinue;
   }
   const obs::JsonValue* type = request.find("type");
   if (!request.is_object() || type == nullptr || !type->is_string()) {
     registry.counter("serve.wire.errors").add();
     channel.write_line(
-        error_document("", "request must be an object with a \"type\""));
+        error_line("", "request must be an object with a \"type\""));
     return Request::kContinue;
   }
   registry.counter("serve.wire.requests").add();
@@ -175,28 +164,27 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
                        "duplicate job id");
     } catch (const std::exception& error) {
       registry.counter("serve.wire.errors").add();
-      channel.write_line(error_document(spec.id, error.what()));
+      channel.write_line(error_line(spec.id, error.what()));
       return Request::kContinue;
     }
     Pending pending;
     pending.spec = std::move(spec);
     if (session_) {
-      JobResult probe;
       const std::string spec_section = "job." + pending.spec.id + ".spec";
-      if (journaled_block(pending.spec, probe)) {
+      if (journaled_block(pending.spec, pending.block)) {
         pending.journaled = true;
       } else if (session_->has_section(spec_section)) {
         // A journaled outcome exists but the resubmitted spec differs —
         // refusing is the only safe answer (serving it would silently
         // attribute another spec's outcome to this one).
         registry.counter("serve.wire.errors").add();
-        channel.write_line(error_document(
+        channel.write_line(error_line(
             pending.spec.id,
             "journaled outcome was produced by a different spec"));
         return Request::kContinue;
       }
     }
-    seen_ids_.emplace(pending.spec.id, true);
+    seen_ids_.insert(pending.spec.id);
     registry.counter("serve.jobs.submitted").add();
     obs::JsonWriter writer;
     writer.begin_object();
@@ -219,7 +207,7 @@ Daemon::Request Daemon::handle_request(LineChannel& channel,
 
   registry.counter("serve.wire.errors").add();
   channel.write_line(
-      error_document("", "unknown request type: " + type->string_value));
+      error_line("", "unknown request type: " + type->string_value));
   return Request::kContinue;
 }
 

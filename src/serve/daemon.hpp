@@ -37,9 +37,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -73,6 +72,7 @@ class Daemon {
   struct Pending {
     JobSpec spec;
     bool journaled = false;  // outcome already in the checkpoint journal
+    JobResult block;         // that outcome, decoded once at submission
   };
 
   enum class Request { kContinue, kRanWave, kDrain };
@@ -90,7 +90,7 @@ class Daemon {
   JobScheduler scheduler_;
   std::unique_ptr<store::CheckpointSession> session_;
   std::vector<Pending> pending_;
-  std::map<std::string, bool> seen_ids_;  // duplicate-submission guard
+  std::set<std::string> seen_ids_;  // duplicate-submission guard
   std::uint64_t jobs_emitted_ = 0;
   /// PITFALLS_SERVE_KILL_AFTER_JOBS: deterministic kill -9 stand-in — after
   /// the N-th journaled job the daemon exits hard (status 137, SIGKILL's)

@@ -223,6 +223,8 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   return result;
 }
 
+}  // namespace
+
 std::string error_line(const std::string& id, const std::string& message) {
   obs::JsonWriter writer;
   writer.begin_object();
@@ -235,8 +237,6 @@ std::string error_line(const std::string& id, const std::string& message) {
   writer.end_object();
   return writer.str();
 }
-
-}  // namespace
 
 JobScheduler::JobScheduler(TokenFleet& fleet, const OraclePolicy& policy)
     : fleet_(&fleet), policy_(&policy) {}

@@ -33,6 +33,10 @@ struct JobResult {
   bool ok = false;
 };
 
+/// The wire's `error` document: {"type":"error","id":...,"message":...},
+/// with a null id when `id` is empty (the request had none).
+std::string error_line(const std::string& id, const std::string& message);
+
 class JobScheduler {
  public:
   /// Both references must outlive the scheduler.

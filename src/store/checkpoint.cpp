@@ -1,8 +1,10 @@
 #include "store/checkpoint.hpp"
 
 #include <cstdlib>
+#include <iostream>
 #include <utility>
 
+#include "obs/bench_reporter.hpp"
 #include "obs/metrics.hpp"
 
 namespace pitfalls::store {
@@ -206,57 +208,77 @@ void note_cell_completed(const CheckpointSession* session) {
   if (++completed >= limit) request_termination();
 }
 
+std::unique_ptr<CheckpointSession> open_bench_session(
+    const obs::BenchReporter& reporter, std::uint64_t seed) {
+  if (!reporter.checkpoint_enabled()) return nullptr;
+  install_termination_handler();
+  try {
+    return std::make_unique<CheckpointSession>(
+        reporter.checkpoint_path(), seed,
+        reporter.name() + ".v1.smoke=" + (reporter.smoke() ? "1" : "0"),
+        reporter.resume());
+  } catch (const SnapshotError& error) {
+    std::cerr << "bench_" << reporter.name() << ": unusable checkpoint path "
+              << reporter.checkpoint_path() << ": " << error.what() << "\n";
+    std::exit(1);
+  }
+}
+
+void end_bench_cell(const CheckpointSession* session,
+                    const obs::BenchReporter& reporter) {
+  note_cell_completed(session);
+  if (session == nullptr || !termination_requested()) return;
+  std::cerr << "bench_" << reporter.name()
+            << ": termination requested; checkpoint flushed, resume with "
+               "--resume\n";
+  std::exit(143);
+}
+
+RecordingOracle::EventCodec::Record RecordingOracle::EventCodec::get(
+    SectionReader& r) {
+  Record event;
+  event.kind = r.u8();
+  PITFALLS_REQUIRE(event.kind <= kBudgetRefused,
+                   "snapshot oracle journal: unknown event kind");
+  event.challenge = get_bitvec(r);
+  event.flipped = event.kind == kAnswered ? r.u8() : 0;
+  return event;
+}
+
+void RecordingOracle::EventCodec::put(SectionWriter& w, std::uint8_t kind,
+                                      const BitVec& x, std::uint8_t flipped) {
+  w.u8(kind);
+  put_bitvec(w, x);
+  if (kind == kAnswered) w.u8(flipped);
+}
+
 RecordingOracle::RecordingOracle(
     ml::MembershipOracle& inner, CheckpointSession& session,
     std::string section, ml::robust::FaultyMembershipOracle* fault_channel,
     std::size_t flush_every, bool drop_recorded_refusals)
     : inner_(&inner),
-      session_(&session),
-      section_(std::move(section)),
-      state_section_(section_ + ".oracle"),
-      fault_channel_(fault_channel),
-      flush_every_(flush_every) {
-  PITFALLS_REQUIRE(flush_every_ > 0, "flush cadence must be > 0");
-  if (session_->has_section(section_)) {
-    SectionReader r = session_->reader(section_);
-    bool dropped_refusals = false;
-    while (!r.at_end()) {
-      Event event;
-      event.kind = r.u8();
-      PITFALLS_REQUIRE(event.kind <= kBudgetRefused,
-                       "snapshot oracle journal: unknown event kind");
-      event.challenge = get_bitvec(r);
-      event.flipped = event.kind == kAnswered ? r.u8() : 0;
-      if (drop_recorded_refusals && event.kind == kBudgetRefused) {
-        dropped_refusals = true;
-        continue;
-      }
-      replay_.push_back(std::move(event));
-    }
-    if (dropped_refusals) {
-      // Rewrite the persisted journal without the refusals: refusals are
-      // not physical interactions, and the channel's recorded position
-      // (raw_queries) never counted them, so the stripped journal plus the
-      // recorded state stay mutually consistent. Continuation events append
-      // after the surviving prefix exactly as they would on a fresh run.
-      // Only when something was stripped: a rewrite is a full `set` change.
-      SectionWriter& w = session_->reset_section(section_);
-      for (const Event& event : replay_) {
-        w.u8(event.kind);
-        put_bitvec(w, event.challenge);
-        if (event.kind == kAnswered) w.u8(event.flipped);
-      }
-    }
+      state_section_(section + ".oracle"),
+      journal_(session, std::move(section), flush_every),
+      fault_channel_(fault_channel) {
+  // Stripped refusals leave the journal and the recorded channel state
+  // mutually consistent: refusals are not physical interactions, and the
+  // channel's recorded position (raw_queries) never counted them.
+  // Continuation events append after the surviving prefix exactly as they
+  // would on a fresh run.
+  if (drop_recorded_refusals) {
+    journal_.drop_restored_if([](const EventCodec::Record& event) {
+      return event.kind == kBudgetRefused;
+    });
   }
-  if (session_->has_section(state_section_)) {
-    SectionReader r = session_->reader(state_section_);
+  if (session.has_section(state_section_)) {
+    SectionReader r = session.reader(state_section_);
     restored_state_ = get_fault_state(r);
     have_restored_state_ = true;
   }
   // An empty journal with recorded fault state cannot happen (they flush
   // together), but if the journal is empty there is nothing to replay and
   // the channel is already at its start position.
-  if (replay_.empty()) finish_replay();
+  if (!journal_.replaying()) finish_replay();
 }
 
 void RecordingOracle::finish_replay() {
@@ -265,40 +287,28 @@ void RecordingOracle::finish_replay() {
   have_restored_state_ = false;
 }
 
-void RecordingOracle::append_event(std::uint8_t kind, const BitVec& x,
-                                   std::uint8_t flipped) {
-  SectionWriter& w = session_->section(section_);
-  w.u8(kind);
-  put_bitvec(w, x);
-  if (kind == kAnswered) w.u8(flipped);
-  ++recorded_;
-  if (recorded_ % flush_every_ == 0 || termination_requested()) flush_now();
+void RecordingOracle::record(std::uint8_t kind, const BitVec& x,
+                             std::uint8_t flipped) {
+  if (journal_.record(kind, x, flipped)) flush_now();
 }
 
 void RecordingOracle::flush_now() {
-  SectionWriter& w = session_->reset_section(state_section_);
+  SectionWriter& w = journal_.session().reset_section(state_section_);
   if (fault_channel_ != nullptr) {
     put_fault_state(w, fault_channel_->state());
   } else {
     put_fault_state(w, ml::robust::FaultyMembershipOracle::State{});
   }
-  session_->flush();
+  journal_.session().flush();
 }
 
 int RecordingOracle::query_pm(const BitVec& x) {
-  if (replay_cursor_ < replay_.size()) {
-    const Event& event = replay_[replay_cursor_];
-    if (event.challenge != x) {
-      throw_divergence("section '" + section_ + "', event " +
-                       std::to_string(replay_cursor_));
-    }
-    ++replay_cursor_;
-    note_replayed_query();
-    if (replay_cursor_ == replay_.size()) finish_replay();
-    switch (event.kind) {
+  if (const EventCodec::Record* event = journal_.replay(x)) {
+    if (!journal_.replaying()) finish_replay();
+    switch (event->kind) {
       case kAnswered:
         count_unmirrored();
-        return event.flipped != 0 ? -1 : +1;
+        return event->flipped != 0 ? -1 : +1;
       case kDropped:
         count_unmirrored();
         throw ml::robust::TransientFaultError(
@@ -311,15 +321,14 @@ int RecordingOracle::query_pm(const BitVec& x) {
   try {
     const int response = inner_->query_pm(x);
     count_unmirrored();
-    append_event(kAnswered, x,
-                 response < 0 ? std::uint8_t{1} : std::uint8_t{0});
+    record(kAnswered, x, response < 0 ? std::uint8_t{1} : std::uint8_t{0});
     return response;
   } catch (const ml::robust::QueryBudgetExhaustedError&) {
-    append_event(kBudgetRefused, x, 0);
+    record(kBudgetRefused, x, 0);
     throw;
   } catch (const ml::robust::TransientFaultError&) {
     count_unmirrored();
-    append_event(kDropped, x, 0);
+    record(kDropped, x, 0);
     throw;
   }
 }

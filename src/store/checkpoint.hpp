@@ -35,13 +35,21 @@
 // live ones.
 #pragma once
 
+#include <algorithm>
 #include <csignal>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ml/robust/faults.hpp"
 #include "store/serialize.hpp"
+#include "support/require.hpp"
 #include "support/snapshot/snapshot.hpp"
+
+namespace pitfalls::obs {
+class BenchReporter;
+}
 
 namespace pitfalls::store {
 
@@ -143,18 +151,97 @@ void note_cell_completed(const CheckpointSession* session);
 void clear_termination();
 bool termination_requested();
 
+/// Sequential record/replay log over one session section — the one journal
+/// behind RecordingOracle and AttackObservationJournal. `Codec` is the
+/// record format: `Record`, `static Record get(SectionReader&)`,
+/// `static void put(SectionWriter&, ...)` over the parts record() is given
+/// (and over a whole Record, for drop_restored_if), `static const BitVec&
+/// input(const Record&)` (the live query a recorded record must match) and
+/// `kNoun` (divergence messages).
+///
+/// Construction decodes any journaled records into the replay queue.
+/// replay() serves them in order, booked as store.snapshot.replayed_queries,
+/// and raises ReplayDivergenceError when a recorded input stops matching the
+/// live one. record() appends and reports when the owner should flush:
+/// every `flush_every` records, and at once while termination is pending.
+template <typename Codec>
+class Journal {
+ public:
+  using Record = typename Codec::Record;
+
+  Journal(CheckpointSession& session, std::string section,
+          std::size_t flush_every)
+      : session_(&session),
+        section_(std::move(section)),
+        flush_every_(flush_every) {
+    PITFALLS_REQUIRE(flush_every_ > 0, "flush cadence must be > 0");
+    if (!session_->has_section(section_)) return;
+    support::snapshot::SectionReader r = session_->reader(section_);
+    while (!r.at_end()) replay_.push_back(Codec::get(r));
+  }
+
+  /// Drop the restored records matching `pred` from the replay queue, and
+  /// rewrite the section without them when any was dropped (a rewrite is a
+  /// full `set` change, so only then).
+  template <typename Pred>
+  void drop_restored_if(Pred pred) {
+    const auto kept = std::remove_if(replay_.begin(), replay_.end(), pred);
+    if (kept == replay_.end()) return;
+    replay_.erase(kept, replay_.end());
+    support::snapshot::SectionWriter& w = session_->reset_section(section_);
+    for (const Record& record : replay_) Codec::put(w, record);
+  }
+
+  /// The next restored record, after checking it was recorded for `x`;
+  /// nullptr once the replay queue is exhausted.
+  const Record* replay(const support::BitVec& x) {
+    if (cursor_ >= replay_.size()) return nullptr;
+    const Record& record = replay_[cursor_];
+    if (Codec::input(record) != x) {
+      throw_divergence("section '" + section_ + "', " + Codec::kNoun + " " +
+                       std::to_string(cursor_));
+    }
+    ++cursor_;
+    note_replayed_query();
+    return &record;
+  }
+
+  /// Append one record; true when the owner should flush the session now.
+  template <typename... Parts>
+  bool record(const Parts&... parts) {
+    Codec::put(session_->section(section_), parts...);
+    ++recorded_;
+    return recorded_ % flush_every_ == 0 || termination_requested();
+  }
+
+  /// Still serving restored records?
+  bool replaying() const { return cursor_ < replay_.size(); }
+  /// Records served from the restored journal so far.
+  std::size_t replayed() const { return cursor_; }
+  /// Records appended by this process (after any replay).
+  std::size_t recorded() const { return recorded_; }
+  CheckpointSession& session() const { return *session_; }
+
+ private:
+  CheckpointSession* session_;
+  std::string section_;
+  std::size_t flush_every_;
+  std::vector<Record> replay_;
+  std::size_t cursor_ = 0;
+  std::size_t recorded_ = 0;
+};
+
 /// MembershipOracle decorator that journals every interaction into a
 /// session section and serves a restored journal back on resume.
 ///
 /// Record mode: forwards to the inner oracle, appends one self-delimiting
 /// event per interaction (answered / transient drop / budget refusal), and
-/// flushes the session every `flush_every` events (plus whenever
-/// termination_requested()). Replay mode (journal restored): serves events
-/// without touching the inner oracle — no budget is consumed and the global
-/// physical-query counter stays honest; replayed queries are booked into
-/// store.snapshot.replayed_queries. When the journal runs dry the recorded
-/// fault-channel position is restored into `fault_channel` (if given) and
-/// the oracle switches to record mode, continuing the same journal.
+/// flushes the session on the Journal cadence. Replay mode (journal
+/// restored): serves events without touching the inner oracle — no budget
+/// is consumed and the global physical-query counter stays honest. When the
+/// journal runs dry the recorded fault-channel position (section
+/// "<section>.oracle") is restored into `fault_channel` (if given) and the
+/// oracle switches to record mode, continuing the same journal.
 class RecordingOracle final : public ml::MembershipOracle {
  public:
   /// `drop_recorded_refusals` is the budget-refill continuation switch
@@ -176,37 +263,45 @@ class RecordingOracle final : public ml::MembershipOracle {
   int query_pm(const BitVec& x) override;
 
   /// Still serving restored events?
-  bool replaying() const { return replay_cursor_ < replay_.size(); }
+  bool replaying() const { return journal_.replaying(); }
   /// Events served from the restored journal so far.
-  std::size_t replayed_queries() const { return replay_cursor_; }
+  std::size_t replayed_queries() const { return journal_.replayed(); }
   /// Events appended by this process (after any replay).
-  std::size_t recorded_events() const { return recorded_; }
+  std::size_t recorded_events() const { return journal_.recorded(); }
 
   /// Persist the session now (also called automatically per cadence).
   void flush_now();
 
  private:
-  struct Event {
-    std::uint8_t kind;
-    BitVec challenge;
-    std::uint8_t flipped;  // kAnswered payload: 1 means response -1
-  };
   static constexpr std::uint8_t kAnswered = 0;
   static constexpr std::uint8_t kDropped = 1;
   static constexpr std::uint8_t kBudgetRefused = 2;
 
-  void append_event(std::uint8_t kind, const BitVec& x, std::uint8_t flipped);
+  /// Event codec: kind u8, challenge, and for kAnswered a flipped u8 (1
+  /// means response -1).
+  struct EventCodec {
+    struct Record {
+      std::uint8_t kind;
+      BitVec challenge;
+      std::uint8_t flipped;
+    };
+    static constexpr const char* kNoun = "event";
+    static Record get(support::snapshot::SectionReader& r);
+    static void put(support::snapshot::SectionWriter& w, std::uint8_t kind,
+                    const BitVec& x, std::uint8_t flipped);
+    static void put(support::snapshot::SectionWriter& w, const Record& e) {
+      put(w, e.kind, e.challenge, e.flipped);
+    }
+    static const BitVec& input(const Record& e) { return e.challenge; }
+  };
+
+  void record(std::uint8_t kind, const BitVec& x, std::uint8_t flipped);
   void finish_replay();
 
   ml::MembershipOracle* inner_;
-  CheckpointSession* session_;
-  std::string section_;
   std::string state_section_;
+  Journal<EventCodec> journal_;
   ml::robust::FaultyMembershipOracle* fault_channel_;
-  std::size_t flush_every_;
-  std::vector<Event> replay_;
-  std::size_t replay_cursor_ = 0;
-  std::size_t recorded_ = 0;
   bool have_restored_state_ = false;
   ml::robust::FaultyMembershipOracle::State restored_state_;
 };
@@ -249,5 +344,18 @@ T checkpointed_unit(CheckpointSession* session, const std::string& name,
   }
   return result;
 }
+
+/// Bench-side session for --checkpoint/--resume (nullptr without them):
+/// installs the SIGTERM handler and binds the run identity `seed` +
+/// "<bench>.v1.smoke=<0|1>". An unusable checkpoint path prints why and
+/// exits 1.
+std::unique_ptr<CheckpointSession> open_bench_session(
+    const obs::BenchReporter& reporter, std::uint64_t seed);
+
+/// Bench-side end of one checkpointable cell whose outcome is flushed:
+/// note_cell_completed(), then exit 143 when termination was requested
+/// (SIGTERM or the PITFALLS_EXIT_AFTER_CELLS hook) so --resume continues.
+void end_bench_cell(const CheckpointSession* session,
+                    const obs::BenchReporter& reporter);
 
 }  // namespace pitfalls::store

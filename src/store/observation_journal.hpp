@@ -6,74 +6,63 @@
 // attack/observation_log.hpp: the attack layer only sees the abstract log,
 // and store (the top of the module DAG) plugs persistence in underneath.
 //
-// Contract: on construction any journalled observations are loaded; serve()
-// answers them in order (booked as store.snapshot.replayed_queries, no
-// physical query) and raises store::ReplayDivergenceError when a recorded
-// input stops matching the live sequence. record() appends and flushes the
-// session every `flush_every` new observations — immediately once a SIGTERM
+// Contract: the store::Journal contract (checkpoint.hpp) over records of
+// (input, response) — serve() replays, record() appends and flushes the
+// session every `flush_every` new observations, immediately once a SIGTERM
 // flush is pending. A null session makes the journal inert (serve misses,
 // record drops), so callers can wire it unconditionally.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "attack/observation_log.hpp"
 #include "store/checkpoint.hpp"
-#include "support/require.hpp"
 
 namespace pitfalls::store {
 
 class AttackObservationJournal final : public attack::ObservationLog {
  public:
+  // The cadence contract is checked by store::Journal.  lint:require-guard-ok
   AttackObservationJournal(CheckpointSession* session, std::string section,
-                           std::size_t flush_every = 16)
-      : session_(session),
-        section_(std::move(section)),
-        flush_every_(flush_every) {
-    if (session_ == nullptr) return;
-    PITFALLS_REQUIRE(flush_every_ > 0, "flush cadence must be > 0");
-    if (!session_->has_section(section_)) return;
-    auto r = session_->reader(section_);
-    while (!r.at_end()) {
-      support::BitVec x = get_bitvec(r);
-      support::BitVec y = get_bitvec(r);
-      replay_.emplace_back(std::move(x), std::move(y));
-    }
+                           std::size_t flush_every = 16) {
+    if (session != nullptr)
+      journal_.emplace(*session, std::move(section), flush_every);
   }
 
   std::optional<support::BitVec> serve(const support::BitVec& x) override {
-    if (cursor_ >= replay_.size()) return std::nullopt;
-    const auto& [recorded_x, recorded_y] = replay_[cursor_];
-    if (recorded_x != x) {
-      throw_divergence("section '" + section_ + "', observation " +
-                       std::to_string(cursor_));
-    }
-    ++cursor_;
-    note_replayed_query();
-    return recorded_y;
+    const Codec::Record* recorded = journal_ ? journal_->replay(x) : nullptr;
+    if (recorded == nullptr) return std::nullopt;
+    return recorded->second;
   }
 
   void record(const support::BitVec& x, const support::BitVec& y) override {
-    if (session_ == nullptr) return;
-    auto& w = session_->section(section_);
-    put_bitvec(w, x);
-    put_bitvec(w, y);
-    ++recorded_;
-    if (recorded_ % flush_every_ == 0 || termination_requested())
-      session_->flush();
+    if (journal_ && journal_->record(x, y)) journal_->session().flush();
   }
 
-  std::size_t replayed() const override { return cursor_; }
+  std::size_t replayed() const override {
+    return journal_ ? journal_->replayed() : 0;
+  }
 
  private:
-  CheckpointSession* session_;
-  std::string section_;
-  std::size_t flush_every_ = 1;
-  std::vector<std::pair<support::BitVec, support::BitVec>> replay_;
-  std::size_t cursor_ = 0;
-  std::size_t recorded_ = 0;
+  /// Observation codec: the input, then the response.
+  struct Codec {
+    using Record = std::pair<support::BitVec, support::BitVec>;
+    static constexpr const char* kNoun = "observation";
+    static Record get(support::snapshot::SectionReader& r) {
+      support::BitVec x = get_bitvec(r);
+      return {std::move(x), get_bitvec(r)};
+    }
+    static void put(support::snapshot::SectionWriter& w,
+                    const support::BitVec& x, const support::BitVec& y) {
+      put_bitvec(w, x);
+      put_bitvec(w, y);
+    }
+    static const support::BitVec& input(const Record& o) { return o.first; }
+  };
+
+  std::optional<Journal<Codec>> journal_;
 };
 
 }  // namespace pitfalls::store

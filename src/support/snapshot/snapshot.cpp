@@ -341,10 +341,6 @@ std::string SnapshotWriter::encode() const {
   return out;
 }
 
-void SnapshotWriter::write(const std::string& path) const {
-  write_file_atomic(path, encode());
-}
-
 std::string SnapshotWriter::encode_log() const {
   std::string out = encode_log_header(seed_, provenance_);
   std::vector<LogChange> changes;
@@ -473,10 +469,6 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
               static_cast<std::size_t>(entry.size)};
     order_.push_back(entry.name);
   }
-}
-
-SnapshotReader SnapshotReader::open(const std::string& path) {
-  return SnapshotReader(read_file_bytes(path));
 }
 
 bool SnapshotReader::has_section(const std::string& name) const {

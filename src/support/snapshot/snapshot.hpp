@@ -18,16 +18,16 @@
 // Every integer is little-endian regardless of host byte order. The header
 // CRC covers the magic, version, provenance and the whole table; each
 // payload carries its own CRC. A truncated file, a bit flip anywhere, a
-// wrong magic or an unknown version are all detected at open() and reported
-// as a typed SnapshotError — corruption can degrade a run to a clean
-// restart (src/store policy) but can never be read as valid data.
+// wrong magic or an unknown version are all detected by SnapshotReader and
+// reported as a typed SnapshotError — corruption can degrade a run to a
+// clean restart (src/store policy) but can never be read as valid data.
 //
-// Atomicity: write() serialises to `path + ".tmp"`, fsyncs, then renames
-// over `path`. A crash at ANY byte offset leaves either the complete old
-// snapshot or the complete new one at `path`, never a torn mix; a stray
-// .tmp from a killed writer is ignored by readers and overwritten by the
-// next write. The kill-at-every-byte-offset torture test in store_test.cpp
-// pins this contract down.
+// Atomicity: write_file_atomic() writes `path + ".tmp"`, fsyncs, then
+// renames over `path`. A crash at ANY byte offset leaves either the
+// complete old snapshot or the complete new one at `path`, never a torn
+// mix; a stray .tmp from a killed writer is ignored by readers and
+// overwritten by the next write. The kill-at-every-byte-offset torture test
+// in store_test.cpp pins this contract down.
 //
 // Checkpoint logs (format version 2) are the append-only sibling of the
 // image above, used by the experiment store so that persisting one more
@@ -248,10 +248,11 @@ class AppendFile {
   int fd_ = -1;
 };
 
-/// Builds a snapshot in memory; write() is atomic. Section order is the
-/// order of first creation, so encode() is deterministic for a fixed call
-/// sequence (byte-identical snapshots for byte-identical runs). Sections
-/// are indexed by name, so lookups cost O(1) whatever the section count.
+/// Builds a snapshot in memory (encode() is the image write_file_atomic
+/// stores). Section order is the order of first creation, so encode() is
+/// deterministic for a fixed call sequence (byte-identical snapshots for
+/// byte-identical runs). Sections are indexed by name, so lookups cost O(1)
+/// whatever the section count.
 ///
 /// Change tracking for checkpoint logs: section(), reset_section() and
 /// remove_section() mark a section changed until the next commit
@@ -286,8 +287,6 @@ class SnapshotWriter {
 
   /// The complete file image (header + table + payloads + CRCs).
   std::string encode() const;
-  /// encode() + write_file_atomic(path).
-  void write(const std::string& path) const;
   /// The sections as a compacted log image: header + one commit holding a
   /// `set` per section, in creation order (header only when empty).
   std::string encode_log() const;
@@ -332,8 +331,6 @@ class SnapshotReader {
  public:
   /// Validate an in-memory image (the unit the torture tests mutate).
   explicit SnapshotReader(std::string bytes);
-  /// read_file_bytes(path) + validation.
-  static SnapshotReader open(const std::string& path);
 
   static constexpr std::uint32_t kFormatVersion = 1;
 

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -649,7 +650,7 @@ TEST(CheckpointLog, VersionOneSnapshotResumesAndMigratesToTheLog) {
     SnapshotWriter v1(7, "p");
     v1.section("cell.0.outcome").str("done");
     v1.section("cell.1.log").u32(5);
-    v1.write(file.path());
+    write_file_atomic(file.path(), v1.encode());
   }
   ASSERT_EQ(image_version(read_file_bytes(file.path())),
             SnapshotReader::kFormatVersion);
@@ -1058,6 +1059,69 @@ TEST(CheckpointedUnit, StoredOutcomeShortCircuitsTheRun) {
   EXPECT_EQ(runs, 1) << "stored outcome re-ran the unit";
 }
 
+// A stale journal (recorded for a challenge the unit no longer asks)
+// diverges on the first query. checkpointed_unit must drop the journal and
+// its fault-channel state, rerun the unit clean, and store the outcome.
+TEST(CheckpointedUnit, DivergenceRetryDropsTheJournalAndRunsClean) {
+  TempSnapshot file("unit_diverge");
+  Rng setup(31);
+  const puf::ArbiterPuf target(8, 0.0, setup);
+  FaultConfig fc;
+  fc.flip_rate = 0.2;
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    ml::FunctionMembershipOracle inner(target);
+    FaultyMembershipOracle faulty(inner, fc, 5);
+    store::RecordingOracle oracle(faulty, session, "cell.0.log", &faulty, 8);
+    (void)oracle.query_pm(make_bitvec(8, 1));
+    oracle.flush_now();
+  }
+  const BitVec asked = make_bitvec(8, 2);
+  int reference = 0;
+  {
+    ml::FunctionMembershipOracle inner(target);
+    FaultyMembershipOracle faulty(inner, fc, 5);
+    reference = faulty.query_pm(asked);
+  }
+
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  ASSERT_TRUE(session.has_section("cell.0.log.oracle"));
+  int runs = 0;
+  std::size_t replayed = 0;
+  std::size_t physical = 0;
+  std::size_t position = 0;
+  const auto run = [&] {
+    ++runs;
+    ml::FunctionMembershipOracle inner(target);
+    FaultyMembershipOracle faulty(inner, fc, 5);
+    store::RecordingOracle oracle(faulty, session, "cell.0.log", &faulty, 8);
+    const int answer = oracle.query_pm(asked);
+    replayed = oracle.replayed_queries();
+    physical = inner.queries();
+    position = faulty.raw_queries();
+    return answer;
+  };
+  const auto put = [](SectionWriter& w, const int& v) {
+    w.u8(v < 0 ? std::uint8_t{1} : std::uint8_t{0});
+  };
+  const auto get = [](SectionReader& r) { return r.u8() != 0 ? -1 : +1; };
+  const std::uint64_t divergence0 = counter_value("store.snapshot.divergence");
+  EXPECT_EQ(store::checkpointed_unit<int>(&session, "cell.0", run, put, get),
+            reference);
+  EXPECT_EQ(runs, 2) << "divergence should rerun the unit exactly once";
+  EXPECT_EQ(counter_value("store.snapshot.divergence"), divergence0 + 1);
+  EXPECT_EQ(replayed, 0u);
+  EXPECT_EQ(physical, 1u);
+  EXPECT_EQ(position, 1u) << "the stale fault-channel state was restored";
+  EXPECT_FALSE(session.has_section("cell.0.log"));
+  EXPECT_FALSE(session.has_section("cell.0.log.oracle"));
+
+  store::CheckpointSession resumed(file.path(), 7, "p", true);
+  EXPECT_EQ(store::checkpointed_unit<int>(&resumed, "cell.0", run, put, get),
+            reference);
+  EXPECT_EQ(runs, 2) << "the stored outcome re-ran the unit";
+}
+
 // Serialized image of an outcome — byte equality is the strongest
 // observable identity the resume contract promises.
 template <typename H, typename PutH>
@@ -1157,6 +1221,74 @@ TEST(ResumeDeterminism, SatAttackRerunFromJournalMatches) {
   EXPECT_EQ(second.solver_stats.conflicts, first.solver_stats.conflicts);
   EXPECT_EQ(second.replayed_queries, first.oracle_queries)
       << "the rerun should be served entirely from the journal";
+}
+
+TEST(AttackObservationJournal, DivergenceThrowsBooksTheMetricAndQueriesNothing) {
+  TempSnapshot file("obs_diverge");
+  const circuit::Netlist netlist = circuit::c17();
+  Rng lock_rng(1004);
+  const lock::LockedCircuit locked =
+      lock::lock_random_xor(netlist, 4, lock_rng);
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    attack::CircuitOracle oracle = attack::CircuitOracle::from_netlist(netlist);
+    store::AttackObservationJournal journal(&session, "cell.log", 2);
+    attack::SatAttackConfig config;
+    config.journal = &journal;
+    ASSERT_TRUE(attack::sat_attack(locked, oracle, config).success);
+    session.flush();
+  }
+  {  // Replace the journal by its first observation with the input changed.
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    SectionReader r = session.reader("cell.log");
+    BitVec x = store::get_bitvec(r);
+    const BitVec y = store::get_bitvec(r);
+    x.set(0, !x.get(0));
+    SectionWriter& w = session.reset_section("cell.log");
+    store::put_bitvec(w, x);
+    store::put_bitvec(w, y);
+    session.flush();
+  }
+
+  const std::uint64_t divergence0 = counter_value("store.snapshot.divergence");
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  attack::CircuitOracle oracle = attack::CircuitOracle::from_netlist(netlist);
+  store::AttackObservationJournal journal(&session, "cell.log", 2);
+  attack::SatAttackConfig config;
+  config.journal = &journal;
+  EXPECT_THROW(attack::sat_attack(locked, oracle, config),
+               store::ReplayDivergenceError);
+  EXPECT_EQ(counter_value("store.snapshot.divergence"), divergence0 + 1);
+  EXPECT_EQ(oracle.queries(), 0u) << "divergence reached the oracle";
+  EXPECT_EQ(journal.replayed(), 0u);
+}
+
+TEST(AttackObservationJournal, TerminationFlagFlushesTheJournal) {
+  TempSnapshot file("obs_term");
+  const BitVec x1 = make_bitvec(6, 1);
+  const BitVec y1 = make_bitvec(2, 2);
+  const BitVec x2 = make_bitvec(6, 3);
+  const BitVec y2 = make_bitvec(2, 4);
+  store::clear_termination();
+  const std::uint64_t writes0 = counter_value("store.snapshot.writes");
+  {
+    store::CheckpointSession session(file.path(), 7, "p", true);
+    // Cadence of 1000 would never flush on its own in 2 observations...
+    store::AttackObservationJournal journal(&session, "cell.log", 1000);
+    journal.record(x1, y1);
+    EXPECT_EQ(counter_value("store.snapshot.writes"), writes0);
+    store::request_termination();  // ...until the termination flag is up.
+    journal.record(x2, y2);
+    EXPECT_GT(counter_value("store.snapshot.writes"), writes0);
+  }
+  store::clear_termination();
+  // The flushed journal is complete: both observations replay.
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  store::AttackObservationJournal journal(&session, "cell.log", 1000);
+  EXPECT_EQ(journal.serve(x1), std::optional<BitVec>(y1));
+  EXPECT_EQ(journal.serve(x2), std::optional<BitVec>(y2));
+  EXPECT_EQ(journal.serve(x1), std::nullopt);
+  EXPECT_EQ(journal.replayed(), 2u);
 }
 
 // -------------------------------------------------------------- termination
