@@ -121,7 +121,9 @@ JuntaHypothesis JuntaLearner::learn(MembershipOracle& oracle,
     rows.push_back(std::move(x));
   }
   std::vector<int> values(rows.size());
-  oracle.query_pm_batch(rows, values);
+  std::vector<QueryStatus> status(rows.size());
+  const std::size_t done = oracle.query_pm_batch(rows, values, status);
+  for (std::size_t i = 0; i < done; ++i) throw_on_fault(status[i]);
   for (std::uint64_t row = 0; row < table.num_rows(); ++row)
     table.set(row, values[static_cast<std::size_t>(row)]);
 

@@ -10,9 +10,12 @@
 //     valid objection — the paper's Section IV point).
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 
 #include "boolfn/boolean_function.hpp"
 #include "obs/metrics.hpp"
@@ -23,30 +26,71 @@ namespace pitfalls::ml {
 using boolfn::BooleanFunction;
 using support::BitVec;
 
+/// Base class for everything a faulty channel can signal.
+class OracleFaultError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// The interface produced no response this round (metastable read-out,
+/// dropped authentication frame). The round still consumed budget; retrying
+/// the same challenge may succeed.
+class TransientFaultError final : public OracleFaultError {
+ public:
+  using OracleFaultError::OracleFaultError;
+};
+
+/// The lifetime query budget is spent — the lockdown tripped. No further
+/// query will ever be answered.
+class QueryBudgetExhaustedError final : public OracleFaultError {
+ public:
+  using OracleFaultError::OracleFaultError;
+};
+
+/// One element's fate: answered, dropped (round consumed, no response) or
+/// refused (lockdown tripped). Journals store the values: never reorder.
+enum class QueryStatus : std::uint8_t { answered, dropped, refused };
+
+/// Throw what a dropped or refused status stands for (no-op if answered).
+inline void throw_on_fault(QueryStatus status) {
+  if (status == QueryStatus::refused)
+    throw QueryBudgetExhaustedError("oracle query budget exhausted (lockdown)");
+  if (status == QueryStatus::dropped)
+    throw TransientFaultError("oracle gave no response (transient fault)");
+}
+
 class MembershipOracle {
  public:
   virtual ~MembershipOracle() = default;
 
   virtual std::size_t num_vars() const = 0;
 
-  /// One chosen-input query, +/-1 result. Increments the query counter.
-  virtual int query_pm(const BitVec& x) = 0;
+  /// One chosen-input query, +/-1 result: a batch of one that throws on a
+  /// drop or refusal (throw_on_fault). Books nothing into oracle.batch.*.
+  int query_pm(const BitVec& x) {
+    int response = 0;
+    QueryStatus status = QueryStatus::answered;
+    answer({&x, 1}, {&response, 1}, {&status, 1});
+    throw_on_fault(status);
+    return response;
+  }
 
   /// F2 view of the same query: +1 -> 0, -1 -> 1.
   bool query_f2(const BitVec& x) { return query_pm(x) < 0; }
 
-  /// Batched chosen-input queries: out[i] = query_pm(xs[i]) element-wise,
-  /// spans of equal length. Every element is counted exactly once
-  /// (saturating, mirrored into "oracle.membership_queries"), and one batch
-  /// call is booked into the oracle.batch.* metrics. Overrides may route the
-  /// batch to a bit-sliced target but must stay element-wise identical to
-  /// the scalar loop. The base implementation is the scalar loop.
-  virtual void query_pm_batch(std::span<const BitVec> xs, std::span<int> out) {
-    PITFALLS_REQUIRE(xs.size() == out.size(),
+  /// Batched queries over equal-length spans, in order: status[i], and out[i]
+  /// = query_pm(xs[i]) when answered. Stops after a refusal, not at a drop;
+  /// returns the processed count. Books one oracle.batch.* call.
+  std::size_t query_pm_batch(std::span<const BitVec> xs, std::span<int> out,
+                             std::span<QueryStatus> status) {
+    PITFALLS_REQUIRE(xs.size() == out.size() && xs.size() == status.size(),
                      "batch spans must have equal length");
-    if (xs.empty()) return;
-    for (std::size_t i = 0; i < xs.size(); ++i) out[i] = query_pm(xs[i]);
-    record_batch(xs.size());
+    if (xs.empty()) return 0;
+    const std::size_t done = answer(xs, out, status);
+    batch_calls_->add(1);
+    batch_elements_->add(done);
+    batch_size_->observe(static_cast<double>(done));
+    return done;
   }
 
   /// Queries since construction or the last reset_queries().
@@ -61,13 +105,23 @@ class MembershipOracle {
   void reset_queries() { queries_ = 0; }
 
  protected:
-  /// Saturating (never wrapping) increments, mirrored into the process-wide
-  /// metrics registry.
-  void count() {
-    constexpr auto kMax = std::numeric_limits<std::size_t>::max();
-    if (queries_ != kMax) ++queries_;
-    if (lifetime_queries_ != kMax) ++lifetime_queries_;
-    counter_->add(1);
+  /// The one query path, on non-empty spans of equal length, under the
+  /// query_pm_batch contract; books nothing into oracle.batch.*.
+  virtual std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
+                             std::span<QueryStatus> status) = 0;
+
+  /// A decorator's booking-free access to its inner oracle's answer().
+  static std::size_t forward(MembershipOracle& inner,
+                             std::span<const BitVec> xs, std::span<int> out,
+                             std::span<QueryStatus> status) {
+    return inner.answer(xs, out, status);
+  }
+
+  /// Count k queries, saturating (never wrapping) and mirrored into the
+  /// process-wide "oracle.membership_queries" counter.
+  void count(std::size_t k = 1) {
+    count_unmirrored(k);
+    counter_->add(k);
   }
 
   /// count() without the process-wide metrics mirror — for decorators whose
@@ -75,29 +129,11 @@ class MembershipOracle {
   /// when forwarding (store::RecordingOracle). A replayed query books into
   /// store.snapshot.replayed_queries instead, keeping the global counter an
   /// honest count of physical oracle traffic.
-  void count_unmirrored() {
-    constexpr auto kMax = std::numeric_limits<std::size_t>::max();
-    if (queries_ != kMax) ++queries_;
-    if (lifetime_queries_ != kMax) ++lifetime_queries_;
-  }
-
-  /// Bulk count() for batch overrides: k elements, each counted once, with
-  /// the same saturation and metrics mirroring as k scalar count() calls.
-  void count(std::size_t k) {
+  void count_unmirrored(std::size_t k = 1) {
     constexpr auto kMax = std::numeric_limits<std::size_t>::max();
     queries_ = k > kMax - queries_ ? kMax : queries_ + k;
     lifetime_queries_ =
         k > kMax - lifetime_queries_ ? kMax : lifetime_queries_ + k;
-    counter_->add(k);
-  }
-
-  /// Book one batch call of `k` elements into the oracle.batch.* metrics
-  /// (calls/elements counters plus the batch-size histogram). Counting of
-  /// the elements themselves stays with count()/count(k).
-  void record_batch(std::size_t k) {
-    batch_calls_->add(1);
-    batch_elements_->add(k);
-    batch_size_->observe(static_cast<double>(k));
   }
 
  private:
@@ -122,24 +158,21 @@ class FunctionMembershipOracle final : public MembershipOracle {
   explicit FunctionMembershipOracle(BooleanFunction&&) = delete;
 
   std::size_t num_vars() const override { return f_->num_vars(); }
-  int query_pm(const BitVec& x) override {
-    count();
-    return f_->eval_pm(x);
-  }
-
-  /// Routes the whole batch to the function's (possibly bit-sliced)
-  /// eval_pm_batch; counting is identical to xs.size() scalar queries.
-  void query_pm_batch(std::span<const BitVec> xs,
-                      std::span<int> out) override {
-    PITFALLS_REQUIRE(xs.size() == out.size(),
-                     "batch spans must have equal length");
-    if (xs.empty()) return;
-    count(xs.size());
-    record_batch(xs.size());
-    f_->eval_pm_batch(xs, out);
-  }
 
  private:
+  /// Every element is answered: a single one by eval_pm, which skips the
+  /// bit-slicing setup, more by the (possibly bit-sliced) eval_pm_batch.
+  std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
+                     std::span<QueryStatus> status) override {
+    count(xs.size());
+    if (xs.size() == 1)
+      out[0] = f_->eval_pm(xs[0]);
+    else
+      f_->eval_pm_batch(xs, out);
+    std::fill(status.begin(), status.end(), QueryStatus::answered);
+    return xs.size();
+  }
+
   const BooleanFunction* f_;
 };
 

@@ -1,7 +1,6 @@
 #include "ml/robust/faults.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "support/parallel.hpp"
 #include "support/require.hpp"
@@ -61,10 +60,11 @@ std::size_t FaultyMembershipOracle::remaining_budget() const {
              : config_.query_budget - raw_queries_;
 }
 
-FaultyMembershipOracle::Draw FaultyMembershipOracle::draw(const BitVec& x) {
+QueryStatus FaultyMembershipOracle::draw(const BitVec& x, char& flipped) {
+  flipped = 0;
   if (raw_queries_ >= config_.query_budget) {
     budget_counter_->add(1);
-    return Draw::kRefused;
+    return QueryStatus::refused;
   }
   // Per-query stream keyed by the raw index: the fault sequence is a pure
   // function of (seed, index, challenge) and therefore identical across
@@ -76,10 +76,9 @@ FaultyMembershipOracle::Draw FaultyMembershipOracle::draw(const BitVec& x) {
   if (config_.drop_rate > 0.0 && q.bernoulli(config_.drop_rate)) {
     ++drops_;
     drop_counter_->add(1);
-    return Draw::kDropped;
+    return QueryStatus::dropped;
   }
 
-  bool flipped = false;
   if (burst_remaining_ > 0) {
     --burst_remaining_;
     flipped = !flipped;
@@ -114,51 +113,32 @@ FaultyMembershipOracle::Draw FaultyMembershipOracle::draw(const BitVec& x) {
       metastable_counter_->add(1);
     }
   }
-  return flipped ? Draw::kFlipped : Draw::kAnswered;
+  return QueryStatus::answered;
 }
 
-void FaultyMembershipOracle::raise(Draw fault) {
-  if (fault == Draw::kRefused)
-    throw QueryBudgetExhaustedError("oracle query budget exhausted (lockdown)");
-  if (fault == Draw::kDropped)
-    throw TransientFaultError("oracle gave no response (transient fault)");
-}
-
-int FaultyMembershipOracle::query_pm(const BitVec& x) {
-  // The coins never read the inner response, so drawing them all before
-  // the inner query changes no draw.
-  const Draw d = draw(x);
-  raise(d);
-  const int response = inner_->query_pm(x);
-  return d == Draw::kFlipped ? -response : response;
-}
-
-void FaultyMembershipOracle::query_pm_batch(std::span<const BitVec> xs,
-                                            std::span<int> out) {
-  PITFALLS_REQUIRE(xs.size() == out.size(),
-                   "batch spans must have equal length");
-  // Phase 1 — fault plan: draw each element's fault exactly as query_pm
-  // does, in order. A budget stop or drop ends the plan at that element,
-  // matching the scalar loop.
-  Draw stop = Draw::kAnswered;
-  std::vector<char> flip(xs.size(), 0);
-  std::size_t ready = 0;
-  for (; ready < xs.size(); ++ready) {
-    const Draw d = draw(xs[ready]);
-    if (d == Draw::kRefused || d == Draw::kDropped) {
-      stop = d;
-      break;
-    }
-    flip[ready] = d == Draw::kFlipped ? 1 : 0;
+std::size_t FaultyMembershipOracle::answer(std::span<const BitVec> xs,
+                                           std::span<int> out,
+                                           std::span<QueryStatus> status) {
+  flip_.resize(xs.size());
+  std::size_t done = 0;
+  while (done < xs.size()) {
+    status[done] = draw(xs[done], flip_[done]);
+    if (status[done++] == QueryStatus::refused) break;
   }
-
-  // Phase 2 — one inner batch for the clean prefix, then apply the planned
-  // flips and re-raise the fault (if any) the scalar loop would have thrown.
-  inner_->query_pm_batch(xs.first(ready), out.first(ready));
-  for (std::size_t j = 0; j < ready; ++j)
-    if (flip[j] != 0) out[j] = -out[j];
-  if (!xs.empty()) record_batch(ready);
-  raise(stop);
+  // Forward each run of answered elements; `end` is the element after it.
+  for (std::size_t begin = 0, end = 0; begin < done; begin = end + 1) {
+    end = begin;
+    while (end < done && status[end] == QueryStatus::answered) ++end;
+    if (end == begin) continue;
+    const std::size_t got =
+        forward(*inner_, xs.subspan(begin, end - begin),
+                out.subspan(begin, end - begin),
+                status.subspan(begin, end - begin));
+    for (std::size_t j = begin; j < begin + got; ++j)
+      if (flip_[j] != 0 && status[j] == QueryStatus::answered) out[j] = -out[j];
+    if (status[begin + got - 1] == QueryStatus::refused) return begin + got;
+  }
+  return done;
 }
 
 }  // namespace pitfalls::ml::robust

@@ -19,32 +19,11 @@
 
 #include <cstddef>
 #include <limits>
-#include <stdexcept>
+#include <vector>
 
 #include "ml/oracle.hpp"
 
 namespace pitfalls::ml::robust {
-
-/// Base class for everything the faulty channel can signal.
-class OracleFaultError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// The interface produced no response this round (metastable read-out,
-/// dropped authentication frame). The round still consumed budget; retrying
-/// the same challenge may succeed.
-class TransientFaultError final : public OracleFaultError {
- public:
-  using OracleFaultError::OracleFaultError;
-};
-
-/// The lifetime query budget is spent — the lockdown tripped. No further
-/// query will ever be answered.
-class QueryBudgetExhaustedError final : public OracleFaultError {
- public:
-  using OracleFaultError::OracleFaultError;
-};
 
 /// A wall-clock deadline expired mid-learning (thrown by the robust teacher
 /// wrappers, never by FaultyMembershipOracle itself).
@@ -74,11 +53,11 @@ struct FaultConfig {
   double metastable_sigma = 0.0;
 
   /// Probability that a query yields no response at all (the round is
-  /// consumed, TransientFaultError is thrown).
+  /// consumed, the element's status is dropped).
   double drop_rate = 0.0;
 
   /// Hard lifetime budget on physical queries (lockdown interface). Once
-  /// spent, every query throws QueryBudgetExhaustedError.
+  /// spent, every query is refused.
   std::size_t query_budget = std::numeric_limits<std::size_t>::max();
 };
 
@@ -90,17 +69,6 @@ class FaultyMembershipOracle final : public MembershipOracle {
                          std::uint64_t seed);
 
   std::size_t num_vars() const override;
-  int query_pm(const BitVec& x) override;
-
-  /// Batched queries with the *exact* scalar fault sequence: fault coins are
-  /// a pure function of (seed, raw query index, challenge) and never depend
-  /// on the inner response, so the batch splits into a sequential fault-plan
-  /// pass (drawing each element's per-query stream in scalar order) followed
-  /// by one inner batch query for the clean prefix. Drop faults and budget
-  /// exhaustion throw exactly as the scalar loop would — elements before the
-  /// faulting one are answered into `out` first, elements after it are not
-  /// queried at all.
-  void query_pm_batch(std::span<const BitVec> xs, std::span<int> out) override;
 
   const FaultConfig& config() const { return config_; }
 
@@ -143,13 +111,16 @@ class FaultyMembershipOracle final : public MembershipOracle {
   std::size_t responses_dropped() const { return drops_; }
 
  private:
-  /// One raw query's fault draw, shared by query_pm and the plan pass of
-  /// query_pm_batch: budget check, then the per-query stream's drop, burst,
-  /// flip and metastable coins, advancing the channel and its counters.
-  enum class Draw { kAnswered, kFlipped, kDropped, kRefused };
-  Draw draw(const BitVec& x);
-  /// Throw the error a kRefused or kDropped draw signals; no-op otherwise.
-  static void raise(Draw fault);
+  /// The exact scalar fault sequence: the coins never read the inner
+  /// response, so all elements are drawn first, in order; each run of
+  /// answered ones then goes to the inner oracle in one forward.
+  std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
+                     std::span<QueryStatus> status) override;
+
+  /// One raw query's fault draw: budget check, then the per-query stream's
+  /// drop, burst, flip and metastable coins, advancing the channel and its
+  /// counters. `flipped` is set when an answer is to be negated.
+  QueryStatus draw(const BitVec& x, char& flipped);
 
   MembershipOracle* inner_;
   FaultConfig config_;
@@ -164,6 +135,7 @@ class FaultyMembershipOracle final : public MembershipOracle {
   obs::Counter* metastable_counter_;
   obs::Counter* drop_counter_;
   obs::Counter* budget_counter_;
+  std::vector<char> flip_;  // answer() scratch: the drawn flip per element
 };
 
 }  // namespace pitfalls::ml::robust

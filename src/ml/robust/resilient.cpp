@@ -7,25 +7,33 @@
 
 namespace pitfalls::ml::robust {
 
-int query_with_retry(MembershipOracle& oracle, const support::BitVec& x,
-                     const RetryPolicy& policy) {
+QueryStatus MajorityVoteOracle::retry(MembershipOracle& oracle,
+                                      const support::BitVec& x,
+                                      const RetryPolicy& policy,
+                                      int& response) {
   PITFALLS_REQUIRE(policy.max_attempts > 0, "need at least one attempt");
   auto& registry = obs::MetricsRegistry::global();
   std::size_t backoff = 1;
-  for (std::size_t attempt = 0;; ++attempt) {
-    try {
-      return oracle.query_pm(x);
-    } catch (const TransientFaultError&) {
-      registry.counter("robust.retry.attempts").add(1);
-      if (attempt + 1 >= policy.max_attempts) {
-        registry.counter("robust.retry.failures").add(1);
-        throw;
-      }
-      // Simulated exponential backoff: the wait is booked, not slept.
-      registry.counter("robust.retry.backoff_steps").add(backoff);
-      backoff *= 2;
+  for (std::size_t tries = 1;; ++tries) {
+    QueryStatus status = QueryStatus::answered;
+    forward(oracle, {&x, 1}, {&response, 1}, {&status, 1});
+    if (status != QueryStatus::dropped) return status;
+    registry.counter("robust.retry.attempts").add(1);
+    if (tries >= policy.max_attempts) {
+      registry.counter("robust.retry.failures").add(1);
+      return status;
     }
+    // Simulated exponential backoff: the wait is booked, not slept.
+    registry.counter("robust.retry.backoff_steps").add(backoff);
+    backoff *= 2;
   }
+}
+
+int query_with_retry(MembershipOracle& oracle, const support::BitVec& x,
+                     const RetryPolicy& policy) {
+  int response = 0;
+  throw_on_fault(MajorityVoteOracle::retry(oracle, x, policy, response));
+  return response;
 }
 
 std::size_t chernoff_votes(double eta, double confidence) {
@@ -56,39 +64,35 @@ std::size_t MajorityVoteOracle::num_vars() const {
   return inner_->num_vars();
 }
 
-int MajorityVoteOracle::query_pm(const BitVec& x) {
-  count();
-  const std::size_t r = votes_per_query_;
-  const std::size_t majority = r / 2 + 1;
-  std::size_t plus = 0;
-  std::size_t minus = 0;
-  // Early stop once one side holds an unassailable majority of the full r
-  // votes: the outcome equals the full-r majority by construction.
-  while (plus < majority && minus < majority) {
-    const int vote = query_with_retry(*inner_, x, config_.retry);
-    ++votes_cast_;
-    vote_counter_->add(1);
-    if (vote > 0)
-      ++plus;
-    else
-      ++minus;
+std::size_t MajorityVoteOracle::answer(std::span<const BitVec> xs,
+                                       std::span<int> out,
+                                       std::span<QueryStatus> status) {
+  const std::size_t majority = votes_per_query_ / 2 + 1;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    count();
+    std::size_t plus = 0;
+    std::size_t minus = 0;
+    // Early stop once one side holds an unassailable majority of the full r
+    // votes (the full-r outcome by construction); r >= 1 sets status[i].
+    while (plus < majority && minus < majority) {
+      int vote = 0;
+      status[i] = retry(*inner_, xs[i], config_.retry, vote);
+      if (status[i] != QueryStatus::answered) break;
+      ++votes_cast_;
+      vote_counter_->add(1);
+      if (vote > 0)
+        ++plus;
+      else
+        ++minus;
+    }
+    if (status[i] == QueryStatus::refused) return i + 1;
+    if (status[i] == QueryStatus::dropped) continue;
+    obs::MetricsRegistry::global()
+        .histogram("robust.vote.votes_per_query")
+        .observe(static_cast<double>(plus + minus));
+    out[i] = plus >= majority ? +1 : -1;
   }
-  obs::MetricsRegistry::global()
-      .histogram("robust.vote.votes_per_query")
-      .observe(static_cast<double>(plus + minus));
-  return plus >= majority ? +1 : -1;
-}
-
-void MajorityVoteOracle::query_pm_batch(std::span<const BitVec> xs,
-                                        std::span<int> out) {
-  PITFALLS_REQUIRE(xs.size() == out.size(),
-                   "batch spans must have equal length");
-  if (xs.empty()) return;
-  // Scalar per logical query on purpose — see the header comment: early
-  // stopping and index-keyed inner fault streams make any vote batching
-  // observable. Faults propagate exactly as in a caller-side scalar loop.
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = query_pm(xs[i]);
-  record_batch(xs.size());
+  return xs.size();
 }
 
 }  // namespace pitfalls::ml::robust

@@ -25,10 +25,10 @@ struct RetryPolicy {
   std::size_t max_attempts = 8;
 };
 
-/// Query `oracle` on x, retrying up to policy.max_attempts times on
-/// TransientFaultError (each attempt consumes oracle budget). Rethrows
-/// TransientFaultError once the attempts are spent and
-/// QueryBudgetExhaustedError immediately.
+/// Query `oracle` on x, retrying a dropped response up to
+/// policy.max_attempts times (each attempt consumes oracle budget; like
+/// query_pm, none books into oracle.batch.*). Throws TransientFaultError
+/// once the attempts are spent and QueryBudgetExhaustedError at a refusal.
 int query_with_retry(MembershipOracle& oracle, const support::BitVec& x,
                      const RetryPolicy& policy = {});
 
@@ -58,14 +58,6 @@ class MajorityVoteOracle final : public MembershipOracle {
   MajorityVoteOracle(MembershipOracle& inner, const MajorityVoteConfig& config);
 
   std::size_t num_vars() const override;
-  int query_pm(const BitVec& x) override;
-
-  /// Deliberately the scalar loop: votes stop early per logical query and
-  /// the inner fault streams are keyed by raw query index, so batching the
-  /// votes would change both votes_cast and every downstream fault. The
-  /// override exists to book oracle.batch.* accounting and to make that
-  /// byte-identity decision explicit.
-  void query_pm_batch(std::span<const BitVec> xs, std::span<int> out) override;
 
   /// The Chernoff-sized per-query vote budget in force.
   std::size_t votes_per_query() const { return votes_per_query_; }
@@ -74,6 +66,20 @@ class MajorityVoteOracle final : public MembershipOracle {
   std::size_t votes_cast() const { return votes_cast_; }
 
  private:
+  /// One vote at a time, each retried on drops: votes stop early per query
+  /// and the inner fault streams are keyed by raw query index, so batching
+  /// votes would change votes_cast and every later fault. A query whose
+  /// vote runs out of retries is dropped; a refused vote ends the batch.
+  std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
+                     std::span<QueryStatus> status) override;
+
+  /// The retry loop of query_with_retry and of each vote, through
+  /// `oracle`'s answer(); returns the last attempt's status.
+  static QueryStatus retry(MembershipOracle& oracle, const BitVec& x,
+                           const RetryPolicy& policy, int& response);
+  friend int query_with_retry(MembershipOracle&, const support::BitVec&,
+                              const RetryPolicy&);
+
   MembershipOracle* inner_;
   MajorityVoteConfig config_;
   std::size_t votes_per_query_;

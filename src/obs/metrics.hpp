@@ -116,7 +116,7 @@ class MetricsRegistry {
 /// use the same dotted names as their *.parallel_seconds timings (e.g.
 /// "puf.crp.collect"), so batch-size distributions line up with the chunk
 /// timings per hot path. The oracle-level oracle.batch.* aggregates are
-/// booked separately by MembershipOracle::record_batch.
+/// booked separately by MembershipOracle::query_pm_batch.
 void observe_batch(const char* callsite, std::size_t elements);
 
 }  // namespace pitfalls::obs

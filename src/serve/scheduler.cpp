@@ -154,11 +154,9 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   ml::MembershipOracle& oracle = stack->top();
   support::Rng rng = job_stream(fleet, spec);
 
-  // Collection: chosen uniform challenges, one at a time — scalar on
-  // purpose, because the fault channel is defined per raw query (§9) and a
-  // drop or the lockdown can land on any element. A dropped round consumes
-  // budget but yields no CRP; the lockdown ends collection with whatever
-  // was gathered so far.
+  // Collection in rounds of exactly the missing count (DESIGN.md §16): a
+  // drop costs budget and is redrawn next round; the lockdown ends it with
+  // the rng rewound to just past the refused challenge.
   std::vector<support::BitVec> challenges;
   std::vector<int> responses;
   challenges.reserve(spec.budget);
@@ -167,15 +165,22 @@ JobResult run_attack(TokenFleet& fleet, const OraclePolicy& policy,
   {
     obs::TraceSpan span("serve.job.collect");
     while (challenges.size() < spec.budget) {
-      support::BitVec challenge = draw_challenge(n, rng);
-      try {
-        const int response = oracle.query_pm(challenge);
-        challenges.push_back(std::move(challenge));
-        responses.push_back(response);
-      } catch (const ml::robust::TransientFaultError&) {
-        continue;
-      } catch (const ml::robust::QueryBudgetExhaustedError&) {
+      const support::Rng round_start = rng;
+      std::vector<support::BitVec> round(spec.budget - challenges.size());
+      for (support::BitVec& challenge : round)
+        challenge = draw_challenge(n, rng);
+      std::vector<int> answers(round.size());
+      std::vector<ml::QueryStatus> statuses(round.size());
+      const std::size_t done = oracle.query_pm_batch(round, answers, statuses);
+      for (std::size_t i = 0; i < done; ++i) {
+        if (statuses[i] != ml::QueryStatus::answered) continue;
+        challenges.push_back(std::move(round[i]));
+        responses.push_back(answers[i]);
+      }
+      if (statuses[done - 1] == ml::QueryStatus::refused) {
         status = "lockdown";
+        rng = round_start;
+        for (std::size_t i = 0; i < done; ++i) (void)draw_challenge(n, rng);
         break;
       }
     }

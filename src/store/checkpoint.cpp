@@ -237,19 +237,19 @@ void end_bench_cell(const CheckpointSession* session,
 RecordingOracle::EventCodec::Record RecordingOracle::EventCodec::get(
     SectionReader& r) {
   Record event;
-  event.kind = r.u8();
-  PITFALLS_REQUIRE(event.kind <= kBudgetRefused,
-                   "snapshot oracle journal: unknown event kind");
+  const std::uint8_t kind = r.u8();
+  PITFALLS_REQUIRE(kind <= 2, "snapshot oracle journal: unknown event kind");
+  event.kind = static_cast<ml::QueryStatus>(kind);
   event.challenge = get_bitvec(r);
-  event.flipped = event.kind == kAnswered ? r.u8() : 0;
+  event.flipped = event.kind == ml::QueryStatus::answered ? r.u8() : 0;
   return event;
 }
 
-void RecordingOracle::EventCodec::put(SectionWriter& w, std::uint8_t kind,
+void RecordingOracle::EventCodec::put(SectionWriter& w, ml::QueryStatus kind,
                                       const BitVec& x, std::uint8_t flipped) {
-  w.u8(kind);
+  w.u8(static_cast<std::uint8_t>(kind));
   put_bitvec(w, x);
-  if (kind == kAnswered) w.u8(flipped);
+  if (kind == ml::QueryStatus::answered) w.u8(flipped);
 }
 
 RecordingOracle::RecordingOracle(
@@ -267,7 +267,7 @@ RecordingOracle::RecordingOracle(
   // would on a fresh run.
   if (drop_recorded_refusals) {
     journal_.drop_restored_if([](const EventCodec::Record& event) {
-      return event.kind == kBudgetRefused;
+      return event.kind == ml::QueryStatus::refused;
     });
   }
   if (session.has_section(state_section_)) {
@@ -287,50 +287,42 @@ void RecordingOracle::finish_replay() {
   have_restored_state_ = false;
 }
 
-void RecordingOracle::record(std::uint8_t kind, const BitVec& x,
-                             std::uint8_t flipped) {
-  if (journal_.record(kind, x, flipped)) flush_now();
-}
-
 void RecordingOracle::flush_now() {
-  SectionWriter& w = journal_.session().reset_section(state_section_);
-  if (fault_channel_ != nullptr) {
-    put_fault_state(w, fault_channel_->state());
-  } else {
-    put_fault_state(w, ml::robust::FaultyMembershipOracle::State{});
-  }
+  put_fault_state(journal_.session().reset_section(state_section_),
+                  fault_channel_ != nullptr
+                      ? fault_channel_->state()
+                      : ml::robust::FaultyMembershipOracle::State{});
   journal_.session().flush();
 }
 
-int RecordingOracle::query_pm(const BitVec& x) {
-  if (const EventCodec::Record* event = journal_.replay(x)) {
+std::size_t RecordingOracle::answer(std::span<const BitVec> xs,
+                                    std::span<int> out,
+                                    std::span<ml::QueryStatus> status) {
+  std::size_t done = 0;
+  for (; done < xs.size() && journal_.replaying(); ++done) {
+    const EventCodec::Record& event = *journal_.replay(xs[done]);
     if (!journal_.replaying()) finish_replay();
-    switch (event->kind) {
-      case kAnswered:
-        count_unmirrored();
-        return event->flipped != 0 ? -1 : +1;
-      case kDropped:
-        count_unmirrored();
-        throw ml::robust::TransientFaultError(
-            "oracle gave no response (transient fault)");
-      default:
-        throw ml::robust::QueryBudgetExhaustedError(
-            "oracle query budget exhausted (lockdown)");
+    status[done] = event.kind;
+    if (event.kind == ml::QueryStatus::refused) return done + 1;
+    count_unmirrored();
+    out[done] = event.flipped != 0 ? -1 : +1;
+  }
+  while (done < xs.size()) {
+    const std::size_t n = std::min(xs.size() - done, journal_.until_flush());
+    const std::size_t got =
+        forward(*inner_, xs.subspan(done, n), out.subspan(done, n),
+                status.subspan(done, n));
+    bool flush = false;
+    for (const std::size_t end = done + got; done < end; ++done) {
+      if (status[done] != ml::QueryStatus::refused) count_unmirrored();
+      const bool minus =
+          status[done] == ml::QueryStatus::answered && out[done] < 0;
+      flush |= journal_.record(status[done], xs[done], std::uint8_t{minus});
     }
+    if (flush) flush_now();
+    if (status[done - 1] == ml::QueryStatus::refused) break;
   }
-  try {
-    const int response = inner_->query_pm(x);
-    count_unmirrored();
-    record(kAnswered, x, response < 0 ? std::uint8_t{1} : std::uint8_t{0});
-    return response;
-  } catch (const ml::robust::QueryBudgetExhaustedError&) {
-    record(kBudgetRefused, x, 0);
-    throw;
-  } catch (const ml::robust::TransientFaultError&) {
-    count_unmirrored();
-    record(kDropped, x, 0);
-    throw;
-  }
+  return done;
 }
 
 }  // namespace pitfalls::store

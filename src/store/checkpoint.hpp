@@ -214,6 +214,12 @@ class Journal {
     return recorded_ % flush_every_ == 0 || termination_requested();
   }
 
+  /// Records until the next flush (1 while termination is pending).
+  std::size_t until_flush() const {
+    return termination_requested() ? 1
+                                   : flush_every_ - recorded_ % flush_every_;
+  }
+
   /// Still serving restored records?
   bool replaying() const { return cursor_ < replay_.size(); }
   /// Records served from the restored journal so far.
@@ -234,14 +240,14 @@ class Journal {
 /// MembershipOracle decorator that journals every interaction into a
 /// session section and serves a restored journal back on resume.
 ///
-/// Record mode: forwards to the inner oracle, appends one self-delimiting
-/// event per interaction (answered / transient drop / budget refusal), and
-/// flushes the session on the Journal cadence. Replay mode (journal
-/// restored): serves events without touching the inner oracle — no budget
-/// is consumed and the global physical-query counter stays honest. When the
-/// journal runs dry the recorded fault-channel position (section
-/// "<section>.oracle") is restored into `fault_channel` (if given) and the
-/// oracle switches to record mode, continuing the same journal.
+/// Record mode: forwards to the inner oracle in sub-batches that end at each
+/// Journal flush point, appends one self-delimiting event per element
+/// (answered / transient drop / budget refusal), and flushes after the
+/// sub-batch that reached the cadence, so each flush writes the channel
+/// state of the journal's last event. Replay mode (journal restored): serves
+/// events without touching the inner oracle. When the journal runs dry, even
+/// mid-batch, the recorded fault-channel position ("<section>.oracle") is
+/// restored into `fault_channel` (if given) and recording continues.
 class RecordingOracle final : public ml::MembershipOracle {
  public:
   /// `drop_recorded_refusals` is the budget-refill continuation switch
@@ -260,7 +266,6 @@ class RecordingOracle final : public ml::MembershipOracle {
                   bool drop_recorded_refusals = false);
 
   std::size_t num_vars() const override { return inner_->num_vars(); }
-  int query_pm(const BitVec& x) override;
 
   /// Still serving restored events?
   bool replaying() const { return journal_.replaying(); }
@@ -273,21 +278,20 @@ class RecordingOracle final : public ml::MembershipOracle {
   void flush_now();
 
  private:
-  static constexpr std::uint8_t kAnswered = 0;
-  static constexpr std::uint8_t kDropped = 1;
-  static constexpr std::uint8_t kBudgetRefused = 2;
+  std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
+                     std::span<ml::QueryStatus> status) override;
 
-  /// Event codec: kind u8, challenge, and for kAnswered a flipped u8 (1
-  /// means response -1).
+  /// Event codec: kind u8 (the QueryStatus value), challenge, and for an
+  /// answered event a flipped u8 (1 means response -1).
   struct EventCodec {
     struct Record {
-      std::uint8_t kind;
+      ml::QueryStatus kind;
       BitVec challenge;
       std::uint8_t flipped;
     };
     static constexpr const char* kNoun = "event";
     static Record get(support::snapshot::SectionReader& r);
-    static void put(support::snapshot::SectionWriter& w, std::uint8_t kind,
+    static void put(support::snapshot::SectionWriter& w, ml::QueryStatus kind,
                     const BitVec& x, std::uint8_t flipped);
     static void put(support::snapshot::SectionWriter& w, const Record& e) {
       put(w, e.kind, e.challenge, e.flipped);
@@ -295,7 +299,6 @@ class RecordingOracle final : public ml::MembershipOracle {
     static const BitVec& input(const Record& e) { return e.challenge; }
   };
 
-  void record(std::uint8_t kind, const BitVec& x, std::uint8_t flipped);
   void finish_replay();
 
   ml::MembershipOracle* inner_;

@@ -138,7 +138,10 @@ TEST(BatchOracle, FunctionOracleCountsOncePerElement) {
 
   const auto xs = random_challenges(24, 130, rng);
   std::vector<int> batch(xs.size()), scalar(xs.size());
-  oracle.query_pm_batch(xs, batch);
+  std::vector<ml::QueryStatus> status(xs.size());
+  EXPECT_EQ(oracle.query_pm_batch(xs, batch, status), xs.size());
+  for (const ml::QueryStatus s : status)
+    EXPECT_EQ(s, ml::QueryStatus::answered);
   EXPECT_EQ(oracle.queries(), xs.size());
   EXPECT_EQ(oracle.lifetime_queries(), xs.size());
 
@@ -160,7 +163,8 @@ TEST(BatchOracle, EmptyBatchIsFree) {
       obs::MetricsRegistry::global().counter("oracle.batch.calls").value();
   std::vector<BitVec> xs;
   std::vector<int> out;
-  oracle.query_pm_batch(xs, out);
+  std::vector<ml::QueryStatus> status;
+  EXPECT_EQ(oracle.query_pm_batch(xs, out, status), 0u);
   EXPECT_EQ(oracle.queries(), 0u);
   EXPECT_EQ(
       obs::MetricsRegistry::global().counter("oracle.batch.calls").value(),
@@ -179,7 +183,8 @@ TEST(BatchOracle, BatchMetricsAreBooked) {
 
   const auto xs = random_challenges(16, 7, rng);
   std::vector<int> out(xs.size());
-  oracle.query_pm_batch(xs, out);
+  std::vector<ml::QueryStatus> status(xs.size());
+  oracle.query_pm_batch(xs, out, status);
   EXPECT_EQ(registry.counter("oracle.batch.calls").value(), calls_before + 1);
   EXPECT_EQ(registry.counter("oracle.batch.elements").value(),
             elements_before + 7);
@@ -195,33 +200,24 @@ std::vector<int> drive_scalar(ml::robust::FaultyMembershipOracle& oracle,
   for (std::size_t i = 0; i < xs.size(); ++i) {
     try {
       out[i] = oracle.query_pm(xs[i]);
-    } catch (const ml::robust::TransientFaultError&) {
+    } catch (const ml::TransientFaultError&) {
       out[i] = 0;
     }
   }
   return out;
 }
 
-// Drives the same workload through query_pm_batch, resuming after each
-// TransientFaultError. Per the batch contract the elements before the
-// faulting one are answered; the faulting element consumed one raw query,
-// so the answered-prefix length is (raw_queries delta - 1).
+// Drives the same workload through one query_pm_batch call: per the status
+// contract a drop does not end the batch, so every element is processed and
+// a dropped one reads 0, exactly as in drive_scalar.
 std::vector<int> drive_batch(ml::robust::FaultyMembershipOracle& oracle,
                              const std::vector<BitVec>& xs) {
   std::vector<int> out(xs.size(), 0);
-  std::size_t i = 0;
-  while (i < xs.size()) {
-    const std::span<const BitVec> tail(xs.data() + i, xs.size() - i);
-    const std::span<int> tail_out(out.data() + i, xs.size() - i);
-    const std::size_t raw_before = oracle.raw_queries();
-    try {
-      oracle.query_pm_batch(tail, tail_out);
-      break;
-    } catch (const ml::robust::TransientFaultError&) {
-      const std::size_t answered = oracle.raw_queries() - raw_before - 1;
-      out[i + answered] = 0;  // the dropped element
-      i += answered + 1;
-    }
+  std::vector<ml::QueryStatus> status(xs.size());
+  EXPECT_EQ(oracle.query_pm_batch(xs, out, status), xs.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_NE(status[i], ml::QueryStatus::refused) << "i=" << i;
+    if (status[i] == ml::QueryStatus::dropped) out[i] = 0;
   }
   return out;
 }
@@ -268,16 +264,23 @@ TEST(BatchFaults, BudgetExhaustsAtTheSameElement) {
       ++scalar_answered;
     }
     FAIL() << "scalar loop should exhaust the budget";
-  } catch (const ml::robust::QueryBudgetExhaustedError&) {
+  } catch (const ml::QueryBudgetExhaustedError&) {
   }
 
+  // The batch answers the same prefix and stops right after the refused
+  // element, which is the one the scalar loop threw at.
   std::vector<int> batch_out(xs.size(), 0);
-  EXPECT_THROW(batch.query_pm_batch(xs, batch_out),
-               ml::robust::QueryBudgetExhaustedError);
+  std::vector<ml::QueryStatus> status(xs.size());
+  const std::size_t done = batch.query_pm_batch(xs, batch_out, status);
   EXPECT_EQ(scalar_answered, config.query_budget);
+  ASSERT_EQ(done, scalar_answered + 1);
+  EXPECT_EQ(status[scalar_answered], ml::QueryStatus::refused);
   EXPECT_EQ(batch.raw_queries(), scalar.raw_queries());
-  for (std::size_t i = 0; i < scalar_answered; ++i)
+  EXPECT_EQ(inner_b.queries(), inner_a.queries());
+  for (std::size_t i = 0; i < scalar_answered; ++i) {
+    EXPECT_EQ(status[i], ml::QueryStatus::answered) << "i=" << i;
     EXPECT_EQ(batch_out[i], scalar_out[i]) << "i=" << i;
+  }
 }
 
 TEST(BatchFaults, MajorityVoteBatchMatchesScalarVoteForVote) {
@@ -298,7 +301,8 @@ TEST(BatchFaults, MajorityVoteBatchMatchesScalarVoteForVote) {
   std::vector<int> scalar_out(xs.size()), batch_out(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i)
     scalar_out[i] = scalar.query_pm(xs[i]);
-  batch.query_pm_batch(xs, batch_out);
+  std::vector<ml::QueryStatus> status(xs.size());
+  EXPECT_EQ(batch.query_pm_batch(xs, batch_out, status), xs.size());
 
   EXPECT_EQ(batch_out, scalar_out);
   EXPECT_EQ(batch.votes_cast(), scalar.votes_cast());

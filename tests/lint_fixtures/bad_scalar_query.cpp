@@ -1,7 +1,7 @@
 // Fixture: per-element oracle/PUF queries inside a parallel chunk body —
-// pays per-challenge dispatch and skips the bit-sliced kernels; the
-// scalar-query rule exists to force one batch call per chunk. The test
-// presents this file under a src/ml path to land inside the rule's scope.
+// pays per-challenge dispatch and skips the bit-sliced kernels; the rule
+// asks for one query_pm_batch/eval_pm_batch call per chunk instead. The
+// test presents this file under a src/ml path to land inside its scope.
 #include <cstddef>
 #include <vector>
 

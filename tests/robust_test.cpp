@@ -4,7 +4,9 @@
 // throwing, Chernoff-sized majority voting, and retry-with-backoff.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -26,6 +28,8 @@ using pitfalls::boolfn::AnfPolynomial;
 using pitfalls::boolfn::FunctionView;
 using pitfalls::ml::FunctionMembershipOracle;
 using pitfalls::ml::MembershipOracle;
+using pitfalls::ml::QueryBudgetExhaustedError;
+using pitfalls::ml::TransientFaultError;
 using pitfalls::support::BitVec;
 using pitfalls::support::Rng;
 
@@ -250,9 +254,13 @@ TEST(RetryWithBackoff, SurvivesTransientDropsAndGivesUpCleanly) {
   class AlwaysDropOracle final : public MembershipOracle {
    public:
     std::size_t num_vars() const override { return 6; }
-    int query_pm(const BitVec&) override {
-      count();
-      throw TransientFaultError("drop");
+
+   protected:
+    std::size_t answer(std::span<const BitVec> xs, std::span<int>,
+                       std::span<ml::QueryStatus> status) override {
+      count(xs.size());
+      std::fill(status.begin(), status.end(), ml::QueryStatus::dropped);
+      return xs.size();
     }
   } always_drop;
   EXPECT_THROW(query_with_retry(always_drop, BitVec(6), {.max_attempts = 4}),

@@ -10,16 +10,23 @@
 #include <string_view>
 #include <vector>
 
+#include "ml/features.hpp"
+#include "ml/logistic.hpp"
+#include "ml/oracle.hpp"
+#include "ml/robust/faults.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "puf/crp.hpp"
 #include "serve/daemon.hpp"
+#include "serve/job.hpp"
 #include "serve/token_fleet.hpp"
 #include "serve/wire.hpp"
 #include "store/checkpoint.hpp"
 #include "support/bitvec.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/snapshot/snapshot.hpp"
 
 namespace {
 
@@ -544,6 +551,87 @@ TEST(ServeDaemon, BudgetRefillContinuationChargesNothingForReplayedQueries) {
   EXPECT_EQ(u64_of(fresh_outcome, "collected"), 120u);
   EXPECT_GT(charged_fresh, charged_refill)
       << "the uninterrupted run pays for all 120 queries";
+}
+
+// ------------------------------------------------- batched collection
+
+// Reference for the attack job: the element-by-element collection loop the
+// batched rounds replaced (draw one challenge, query it, skip a drop, stop
+// at the lockdown), followed by the job's fit, eval and outcome line.
+std::string scalar_attack_outcome(const serve::TokenFleetConfig& fleet_config,
+                                  const std::string& request) {
+  const serve::JobSpec spec =
+      serve::JobSpec::parse(obs::JsonValue::parse(request));
+  serve::TokenFleet fleet(fleet_config);
+  const auto model = fleet.acquire(spec.token);
+  const std::size_t n = model->num_vars();
+  ml::FunctionMembershipOracle base(*model);
+  ml::robust::FaultyMembershipOracle oracle(base, spec.faults, spec.seed);
+  // The job stream: the fleet seed salted with "job-stre", keyed by the
+  // job seed.
+  Rng rng = support::rng_for_chunk(fleet_config.seed ^ 0x6a6f622d73747265ULL,
+                                   spec.seed);
+  std::vector<BitVec> challenges;
+  std::vector<int> responses;
+  const char* status = "modeled";
+  while (challenges.size() < spec.budget) {
+    BitVec challenge(n);
+    for (std::size_t i = 0; i < n; ++i) challenge.set(i, rng.coin());
+    try {
+      const int response = oracle.query_pm(challenge);
+      challenges.push_back(std::move(challenge));
+      responses.push_back(response);
+    } catch (const ml::TransientFaultError&) {
+      continue;
+    } catch (const ml::QueryBudgetExhaustedError&) {
+      status = "lockdown";
+      break;
+    }
+  }
+  std::string block;
+  for (const int r : responses) block.push_back(r < 0 ? '-' : '+');
+  const ml::LinearModel hypothesis = ml::LogisticRegression().fit_model(
+      challenges, responses, ml::parity_with_bias, rng);
+  const puf::CrpSet holdout =
+      puf::CrpSet::collect_uniform(*model, spec.eval, rng);
+  char digest[9];
+  std::snprintf(digest, sizeof digest, "%08x",
+                static_cast<unsigned>(support::snapshot::crc32(block)));
+
+  obs::JsonWriter writer;
+  writer.begin_object();
+  writer.key("type").value("outcome");
+  writer.key("id").value(spec.id);
+  writer.key("kind").value("attack");
+  writer.key("status").value(status);
+  writer.key("collected").value(std::uint64_t{challenges.size()});
+  writer.key("queries").value(std::uint64_t{oracle.raw_queries()});
+  writer.key("accuracy").value(holdout.accuracy_of(hypothesis));
+  writer.key("digest").value(digest);
+  writer.end_object();
+  return writer.str();
+}
+
+// The first round queries all 100 missing challenges and loses about a
+// fifth to drops; the lockdown (115 physical queries) then trips inside the
+// second round. The batched job must still print the scalar loop's outcome
+// line, which needs the job rng rewound to just past the refused challenge
+// before the fit and the eval draw from it.
+TEST(ServeDaemon, AttackLockdownMidRoundMatchesTheScalarCollectionLoop) {
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  const std::string request =
+      attack_job("k1", 99, 21, 100, 400,
+                 R"(,"policy":{"drop_rate":0.2,"flip_rate":0.05,)"
+                 R"("query_budget":115})");
+  const ServeRun run = run_daemon(config, {request, kDrain});
+  ASSERT_EQ(run.status, 0);
+  const std::string outcome = find_line(run.lines, "outcome", "k1");
+  ASSERT_FALSE(outcome.empty());
+  EXPECT_EQ(str_of(outcome, "status"), "lockdown");
+  EXPECT_EQ(u64_of(outcome, "queries"), 115u);
+  EXPECT_LT(u64_of(outcome, "collected"), 100u);
+  EXPECT_EQ(outcome, scalar_attack_outcome(config.fleet, request));
 }
 
 }  // namespace

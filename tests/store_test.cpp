@@ -4,6 +4,7 @@
 // resume-determinism + budget-accounting contracts the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -31,9 +32,9 @@ using namespace pitfalls::support::snapshot;
 using pitfalls::ml::robust::FaultConfig;
 using pitfalls::ml::robust::FaultyMembershipOracle;
 using pitfalls::ml::robust::LearnOutcome;
-using pitfalls::ml::robust::QueryBudgetExhaustedError;
+using pitfalls::ml::QueryBudgetExhaustedError;
 using pitfalls::ml::robust::RobustLearnConfig;
-using pitfalls::ml::robust::TransientFaultError;
+using pitfalls::ml::TransientFaultError;
 using pitfalls::support::BitVec;
 using pitfalls::support::Rng;
 
@@ -183,7 +184,8 @@ TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
   // A length-prefixed string whose declared length exceeds the payload.
   SnapshotWriter w2(1, "p");
   w2.section("s").u32(1000);
-  SectionReader cur2 = SnapshotReader(w2.encode()).section("s");
+  const SnapshotReader r2(w2.encode());
+  SectionReader cur2 = r2.section("s");
   EXPECT_THROW(cur2.str(), SnapshotError);
 }
 
@@ -998,6 +1000,175 @@ TEST(RecordingOracle, RefilledBudgetContinuationChargesOnlyLiveQueries) {
     EXPECT_EQ(answers[i], first_answers[i]) << "replayed answer " << i;
   EXPECT_EQ(oracle.replayed_queries(), 5u);
   EXPECT_EQ(inner.queries(), challenges.size() - first_answers.size());
+}
+
+// One session leg over `challenges` through a Function -> Faulty ->
+// Recording stack (cadence 4): element by element through query_pm, or as
+// one query_pm_batch. Returns the interactions (+1/-1 answer, 0 drop, 9
+// refusal, ending at the first refusal) and leaves the session flushed.
+std::vector<int> journal_leg(const std::string& path,
+                             const puf::ArbiterPuf& target,
+                             const FaultConfig& fc,
+                             const std::vector<BitVec>& challenges,
+                             bool batch) {
+  store::CheckpointSession session(path, 7, "p", true);
+  ml::FunctionMembershipOracle inner(target);
+  FaultyMembershipOracle faulty(inner, fc, 41);
+  store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 4);
+  std::vector<int> out;
+  if (batch) {
+    std::vector<int> answers(challenges.size());
+    std::vector<ml::QueryStatus> status(challenges.size());
+    const std::size_t done =
+        oracle.query_pm_batch(challenges, answers, status);
+    for (std::size_t i = 0; i < done; ++i)
+      out.push_back(status[i] == ml::QueryStatus::answered  ? answers[i]
+                    : status[i] == ml::QueryStatus::dropped ? 0
+                                                            : 9);
+  } else {
+    for (const BitVec& x : challenges) {
+      out.push_back(interaction(oracle, x));
+      if (out.back() == 9) break;
+    }
+  }
+  oracle.flush_now();
+  return out;
+}
+
+FaultConfig lossy_lockdown() {
+  FaultConfig fc;
+  fc.flip_rate = 0.2;
+  fc.drop_rate = 0.25;
+  fc.query_budget = 20;
+  return fc;
+}
+
+// The batch path forwards its live part in sub-batches that end at each
+// flush point, so one batch through the recorder must write the very
+// commits the element-by-element loop writes: the same events (drops and
+// the final refusal included) and the same fault-channel state at each of
+// the flushes that land inside the batch.
+TEST(RecordingOracle, OneBatchWritesTheScalarLoopsSessionBytes) {
+  TempSnapshot scalar_file("batch_scalar");
+  TempSnapshot batch_file("batch_batch");
+  Rng setup(37);
+  const puf::ArbiterPuf target(8, 0.0, setup);
+  std::vector<BitVec> challenges;
+  for (std::size_t i = 0; i < 32; ++i)
+    challenges.push_back(make_bitvec(8, 1100 + i));
+
+  const std::vector<int> scalar = journal_leg(
+      scalar_file.path(), target, lossy_lockdown(), challenges, false);
+  const std::vector<int> batch = journal_leg(
+      batch_file.path(), target, lossy_lockdown(), challenges, true);
+  EXPECT_EQ(batch, scalar);
+  ASSERT_EQ(scalar.back(), 9) << "test setup never tripped the lockdown";
+  EXPECT_NE(std::count(scalar.begin(), scalar.end(), 0), 0)
+      << "test setup never dropped a response";
+  const std::string bytes = read_file_bytes(scalar_file.path());
+  EXPECT_EQ(read_file_bytes(batch_file.path()), bytes);
+  // One commit per flush point inside the batch, none compacted away.
+  EXPECT_GT(scan_log(bytes).commits.size(), 4u);
+  // The journal holds what happened: resuming replays every interaction.
+  EXPECT_EQ(journal_leg(batch_file.path(), target, lossy_lockdown(),
+                        challenges, true),
+            scalar);
+}
+
+// A batch that runs past the end of a restored journal: the recorded
+// prefix is served from the journal, the fault channel is restored before
+// the live rest is forwarded, and the continued session file equals the
+// element-by-element continuation's — whose answers equal an uninterrupted
+// run's.
+TEST(RecordingOracle, BatchStraddlingTheRestoredJournalMatchesTheScalarLoop) {
+  TempSnapshot scalar_file("straddle_scalar");
+  TempSnapshot batch_file("straddle_batch");
+  TempSnapshot fresh_file("straddle_fresh");
+  Rng setup(38);
+  const puf::ArbiterPuf target(8, 0.0, setup);
+  std::vector<BitVec> challenges;
+  for (std::size_t i = 0; i < 32; ++i)
+    challenges.push_back(make_bitvec(8, 1200 + i));
+  const std::vector<BitVec> prefix(challenges.begin(), challenges.begin() + 9);
+
+  const std::vector<int> reference = journal_leg(
+      fresh_file.path(), target, lossy_lockdown(), challenges, false);
+  journal_leg(scalar_file.path(), target, lossy_lockdown(), prefix, false);
+  write_file_atomic(batch_file.path(), read_file_bytes(scalar_file.path()));
+
+  EXPECT_EQ(journal_leg(scalar_file.path(), target, lossy_lockdown(),
+                        challenges, false),
+            reference);
+  EXPECT_EQ(journal_leg(batch_file.path(), target, lossy_lockdown(),
+                        challenges, true),
+            reference);
+  EXPECT_EQ(read_file_bytes(batch_file.path()),
+            read_file_bytes(scalar_file.path()));
+}
+
+// While termination is pending every record flushes; a batch then commits
+// element by element too.
+TEST(RecordingOracle, BatchUnderPendingTerminationCommitsPerElement) {
+  TempSnapshot scalar_file("term_scalar");
+  TempSnapshot batch_file("term_batch");
+  Rng setup(39);
+  const puf::ArbiterPuf target(8, 0.0, setup);
+  std::vector<BitVec> challenges;
+  for (std::size_t i = 0; i < 32; ++i)
+    challenges.push_back(make_bitvec(8, 1300 + i));
+
+  store::request_termination();
+  const std::vector<int> scalar = journal_leg(
+      scalar_file.path(), target, lossy_lockdown(), challenges, false);
+  const std::vector<int> batch = journal_leg(
+      batch_file.path(), target, lossy_lockdown(), challenges, true);
+  store::clear_termination();
+  EXPECT_EQ(batch, scalar);
+  const std::string bytes = read_file_bytes(scalar_file.path());
+  EXPECT_EQ(read_file_bytes(batch_file.path()), bytes);
+  // One commit per interaction, plus the leg's closing flush_now.
+  EXPECT_EQ(scan_log(bytes).commits.size(), scalar.size() + 1);
+}
+
+// oracle.batch.* books one call per caller batch, however many layers the
+// stack has and however many sub-batches the recorder forwards; the scalar
+// query_pm books none.
+TEST(RecordingOracle, StackBooksOneBatchPerCallerBatchAndNoneForScalar) {
+  TempSnapshot file("booking");
+  Rng setup(40);
+  const puf::ArbiterPuf target(8, 0.0, setup);
+  std::vector<BitVec> challenges;
+  for (std::size_t i = 0; i < 12; ++i)
+    challenges.push_back(make_bitvec(8, 1400 + i));
+  FaultConfig fc;
+  fc.drop_rate = 0.3;
+
+  store::CheckpointSession session(file.path(), 7, "p", true);
+  ml::FunctionMembershipOracle inner(target);
+  FaultyMembershipOracle faulty(inner, fc, 43);
+  store::RecordingOracle oracle(faulty, session, "u.log", &faulty, 4);
+  auto& registry = obs::MetricsRegistry::global();
+  obs::Histogram& sizes = registry.histogram("oracle.batch.size");
+  const std::uint64_t calls0 = counter_value("oracle.batch.calls");
+  const std::uint64_t elements0 = counter_value("oracle.batch.elements");
+  const std::size_t samples0 = sizes.count();
+
+  for (const BitVec& x : challenges) (void)interaction(oracle, x);
+  EXPECT_EQ(counter_value("oracle.batch.calls"), calls0);
+  EXPECT_EQ(counter_value("oracle.batch.elements"), elements0);
+  EXPECT_EQ(sizes.count(), samples0);
+
+  std::vector<int> answers(challenges.size());
+  std::vector<ml::QueryStatus> status(challenges.size());
+  EXPECT_EQ(oracle.query_pm_batch(challenges, answers, status),
+            challenges.size());
+  EXPECT_NE(std::count(status.begin(), status.end(),
+                       ml::QueryStatus::dropped),
+            0);
+  EXPECT_EQ(counter_value("oracle.batch.calls"), calls0 + 1);
+  EXPECT_EQ(counter_value("oracle.batch.elements"),
+            elements0 + challenges.size());
+  EXPECT_EQ(sizes.count(), samples0 + 1);
 }
 
 TEST(RecordingOracle, DivergenceThrowsAndBooksTheMetric) {

@@ -383,7 +383,8 @@ void check_scalar_query(const FileView& view, std::vector<Violation>& out) {
       emit(view, line_index, "scalar-query",
            "per-element query_pm/eval_pm inside a parallel chunk body pays "
            "per-challenge dispatch and skips the bit-sliced PUF kernels; "
-           "issue one query_pm_batch/eval_pm_batch per chunk instead (or "
+           "issue one query_pm_batch(xs, out, status) or "
+           "eval_pm_batch(xs, out) per chunk instead (or "
            "annotate an audited exception with // lint:scalar-query-ok)",
            out);
     }
