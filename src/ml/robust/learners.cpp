@@ -39,16 +39,18 @@ Collected collect(MembershipOracle& oracle, std::size_t m,
     }
     BitVec c(n);
     for (std::size_t b = 0; b < n; ++b) c.set(b, rng.coin());
-    try {
-      const int r = query_with_retry(oracle, c, retry);
-      out.challenges.push_back(std::move(c));
-      out.responses.push_back(r);
-    } catch (const TransientFaultError&) {
-      ++out.dropped;  // this challenge is lost; budget was still consumed
-    } catch (const QueryBudgetExhaustedError&) {
+    int r = 0;
+    const QueryStatus status = MajorityVoteOracle::retry(oracle, c, retry, r);
+    if (status == QueryStatus::refused) {
       out.budget_hit = true;
       break;
     }
+    if (status == QueryStatus::dropped) {
+      ++out.dropped;  // this challenge is lost; budget was still consumed
+      continue;
+    }
+    out.challenges.push_back(std::move(c));
+    out.responses.push_back(r);
   }
   return out;
 }
@@ -262,16 +264,18 @@ LearnOutcome<boolfn::AnfPolynomial> robust_anf(MembershipOracle& oracle,
         break;
       }
       const BitVec point = support::subset_mask(n, subset);
-      bool value = false;
-      try {
-        value = query_with_retry(oracle, point, config.retry) < 0;
-      } catch (const TransientFaultError&) {
-        ++unresolved;
-        continue;
-      } catch (const QueryBudgetExhaustedError&) {
+      int response = 0;
+      const QueryStatus status =
+          MajorityVoteOracle::retry(oracle, point, config.retry, response);
+      if (status == QueryStatus::refused) {
         budget_hit = true;
         break;
       }
+      if (status == QueryStatus::dropped) {
+        ++unresolved;
+        continue;
+      }
+      bool value = response < 0;
       for (const auto& monomial : poly.monomials())
         if (monomial != point && monomial.is_subset_of(point)) value = !value;
       if (value) poly.toggle_monomial(point);

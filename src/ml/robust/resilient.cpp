@@ -29,13 +29,6 @@ QueryStatus MajorityVoteOracle::retry(MembershipOracle& oracle,
   }
 }
 
-int query_with_retry(MembershipOracle& oracle, const support::BitVec& x,
-                     const RetryPolicy& policy) {
-  int response = 0;
-  throw_on_fault(MajorityVoteOracle::retry(oracle, x, policy, response));
-  return response;
-}
-
 std::size_t chernoff_votes(double eta, double confidence) {
   PITFALLS_REQUIRE(eta >= 0.0 && eta < 0.5,
                    "majority voting needs a flip rate below 1/2");

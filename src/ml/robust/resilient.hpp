@@ -2,10 +2,10 @@
 // countermeasures that turn the noisy/lossy channel of faults.hpp back into
 // something the src/ml learners can consume.
 //
-//   * query_with_retry — bounded retry with (simulated) exponential backoff
-//     for transient non-responses. Backoff is accounted in
-//     `robust.retry.backoff_steps` rather than slept, since experiments run
-//     on simulated hardware time.
+//   * MajorityVoteOracle::retry — bounded retry with (simulated)
+//     exponential backoff for transient non-responses. Backoff is accounted
+//     in `robust.retry.backoff_steps` rather than slept, since experiments
+//     run on simulated hardware time.
 //   * MajorityVoteOracle — adaptive repetition: each logical query is
 //     answered by the majority of up to r physical votes, with r sized by
 //     the Chernoff bound so the majority is wrong with probability at most
@@ -24,13 +24,6 @@ struct RetryPolicy {
   /// Total attempts per logical query (first try + retries).
   std::size_t max_attempts = 8;
 };
-
-/// Query `oracle` on x, retrying a dropped response up to
-/// policy.max_attempts times (each attempt consumes oracle budget; like
-/// query_pm, none books into oracle.batch.*). Throws TransientFaultError
-/// once the attempts are spent and QueryBudgetExhaustedError at a refusal.
-int query_with_retry(MembershipOracle& oracle, const support::BitVec& x,
-                     const RetryPolicy& policy = {});
 
 /// Smallest odd vote count r with exp(-2 r (1/2 - eta)^2) <= 1 - confidence:
 /// by the Chernoff–Hoeffding bound the majority of r independent votes then
@@ -65,6 +58,15 @@ class MajorityVoteOracle final : public MembershipOracle {
   /// queries() * votes_per_query()).
   std::size_t votes_cast() const { return votes_cast_; }
 
+  /// Query `oracle` on x, retrying a dropped response up to
+  /// policy.max_attempts times; each attempt consumes oracle budget, and
+  /// like query_pm none books into oracle.batch.*. Returns the last
+  /// attempt's status: `answered` (with `response` set), `dropped` once the
+  /// attempts are spent, or `refused` at the budget lockdown. Every vote
+  /// runs this loop too.
+  static QueryStatus retry(MembershipOracle& oracle, const BitVec& x,
+                           const RetryPolicy& policy, int& response);
+
  private:
   /// One vote at a time, each retried on drops: votes stop early per query
   /// and the inner fault streams are keyed by raw query index, so batching
@@ -72,13 +74,6 @@ class MajorityVoteOracle final : public MembershipOracle {
   /// vote runs out of retries is dropped; a refused vote ends the batch.
   std::size_t answer(std::span<const BitVec> xs, std::span<int> out,
                      std::span<QueryStatus> status) override;
-
-  /// The retry loop of query_with_retry and of each vote, through
-  /// `oracle`'s answer(); returns the last attempt's status.
-  static QueryStatus retry(MembershipOracle& oracle, const BitVec& x,
-                           const RetryPolicy& policy, int& response);
-  friend int query_with_retry(MembershipOracle&, const support::BitVec&,
-                              const RetryPolicy&);
 
   MembershipOracle* inner_;
   MajorityVoteConfig config_;

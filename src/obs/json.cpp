@@ -198,8 +198,17 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The parser recurses once per level: bound the depth so hostile
+        // input gets a parse error instead of a stack overflow.
+        if (++depth_ > JsonValue::kMaxDepth)
+          fail("nesting deeper than " + std::to_string(JsonValue::kMaxDepth) +
+               " levels");
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -367,6 +376,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays and objects open around pos_
 };
 
 }  // namespace

@@ -77,8 +77,12 @@ struct JsonValue {
   /// First member with this name, or nullptr (objects only).
   const JsonValue* find(std::string_view name) const;
 
+  /// Deepest nesting of arrays and objects parse() accepts.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parse a complete document; throws std::runtime_error with the byte
-  /// offset on malformed input (including trailing garbage).
+  /// offset on malformed input (including trailing garbage and nesting
+  /// deeper than kMaxDepth).
   static JsonValue parse(std::string_view text);
 };
 

@@ -37,6 +37,18 @@ std::uint64_t u64_field(const obs::JsonValue& object, std::string_view name) {
   return as_u64(member(object, name), name);
 }
 
+/// A positive size field, capped before anything is sized by it.
+std::size_t count_field(const obs::JsonValue& object, std::string_view name,
+                        const char* kind) {
+  const std::uint64_t count = u64_field(object, name);
+  PITFALLS_REQUIRE(count > 0, std::string(kind) + " job needs " +
+                                  std::string(name) + " > 0");
+  PITFALLS_REQUIRE(count <= JobSpec::kMaxCount,
+                   "job field \"" + std::string(name) + "\" exceeds " +
+                       std::to_string(JobSpec::kMaxCount));
+  return static_cast<std::size_t>(count);
+}
+
 std::uint64_t u64_or(const obs::JsonValue& object, std::string_view name,
                      std::uint64_t fallback) {
   const obs::JsonValue* value = object.find(name);
@@ -114,15 +126,12 @@ JobSpec JobSpec::parse(const obs::JsonValue& request) {
 
   switch (spec.kind) {
     case JobKind::kAuth: {
-      spec.rounds = static_cast<std::size_t>(u64_field(request, "rounds"));
-      PITFALLS_REQUIRE(spec.rounds > 0, "auth job needs rounds > 0");
+      spec.rounds = count_field(request, "rounds", "auth");
       break;
     }
     case JobKind::kAttack: {
-      spec.budget = static_cast<std::size_t>(u64_field(request, "budget"));
-      spec.eval = static_cast<std::size_t>(u64_field(request, "eval"));
-      PITFALLS_REQUIRE(spec.budget > 0, "attack job needs budget > 0");
-      PITFALLS_REQUIRE(spec.eval > 0, "attack job needs eval > 0");
+      spec.budget = count_field(request, "budget", "attack");
+      spec.eval = count_field(request, "eval", "attack");
       if (const obs::JsonValue* policy = request.find("policy"))
         spec.faults = parse_policy(*policy);
       if (const obs::JsonValue* session = request.find("session")) {

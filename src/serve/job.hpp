@@ -37,6 +37,10 @@ enum class JobKind { kAuth, kAttack, kQuery };
 const char* to_string(JobKind kind);
 
 struct JobSpec {
+  /// Largest `rounds`, `budget` or `eval` parse() accepts: each sizes a
+  /// buffer, so a hostile value is refused before it can allocate.
+  static constexpr std::size_t kMaxCount = 1'000'000;
+
   std::string id;
   JobKind kind = JobKind::kQuery;
   /// Target token within the fleet population.

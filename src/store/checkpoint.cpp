@@ -15,7 +15,6 @@ using support::snapshot::SectionReader;
 using support::snapshot::SectionWriter;
 using support::snapshot::SnapshotError;
 using support::snapshot::SnapshotFault;
-using support::snapshot::SnapshotReader;
 
 // Dead log bytes below this never trigger a compaction: rewriting a small
 // file to save a few kilobytes would cost more than it saves.
@@ -69,46 +68,33 @@ CheckpointSession::CheckpointSession(std::string path, std::uint64_t seed,
   StoreMetrics& metrics = StoreMetrics::get();
   try {
     const std::string bytes = support::snapshot::read_file_bytes(path_);
-    if (support::snapshot::image_version(bytes) ==
-        SnapshotReader::kFormatVersion) {
-      // A version-1 image resumes as the base state; the first write
-      // compacts it into a log (image_pending_ stays set).
-      const SnapshotReader restored(bytes);
-      if (restored.seed() != seed || restored.provenance() != provenance) {
-        metrics.mismatch.add(1);
-        return;
-      }
-      for (const std::string& name : restored.section_names())
-        writer_.section(name).raw(restored.section_bytes(name));
-    } else {
-      const support::snapshot::LogScan scan =
-          support::snapshot::scan_log(bytes);
-      if (scan.seed != seed || scan.provenance != provenance) {
-        // A snapshot from a different run identity is stale, not corrupt:
-        // start clean and leave the file to be replaced by the next write.
-        metrics.mismatch.add(1);
-        return;
-      }
-      if (scan.valid_size != bytes.size()) {
-        metrics.corrupt.add(1);
-        // Cut the torn tail now, so the next append lands right after the
-        // last intact commit.
-        if (!scan.commits.empty()) file_.open(path_, scan.valid_size);
-      }
-      if (scan.commits.empty()) return;  // nothing survived: clean start
-      for (const support::snapshot::LogCommit& commit : scan.commits)
-        for (const support::snapshot::LogChange& change : commit.changes)
-          writer_.apply(change);
-      writer_.mark_committed();
-      file_size_ = scan.valid_size;
-      image_pending_ = false;
+    const support::snapshot::LogScan scan = support::snapshot::scan_log(bytes);
+    if (scan.seed != seed || scan.provenance != provenance) {
+      // A snapshot from a different run identity is stale, not corrupt:
+      // start clean and leave the file to be replaced by the next write.
+      metrics.mismatch.add(1);
+      return;
     }
+    if (scan.valid_size != bytes.size()) {
+      metrics.corrupt.add(1);
+      // Cut the torn tail now, so the next append lands right after the
+      // last intact commit.
+      if (!scan.commits.empty()) file_.open(path_, scan.valid_size);
+    }
+    if (scan.commits.empty()) return;  // nothing survived: clean start
+    for (const support::snapshot::LogCommit& commit : scan.commits)
+      for (const support::snapshot::LogChange& change : commit.changes)
+        writer_.apply(change);
+    writer_.mark_committed();
+    file_size_ = scan.valid_size;
+    image_pending_ = false;
     resumed_ = true;
     metrics.loads.add(1);
     metrics.resumed.add(1);
   } catch (const SnapshotError& error) {
     // No file yet is the normal first-run case; anything else is detected
-    // corruption — count it and degrade to a clean start.
+    // corruption or a file of another format version (a version-1 image
+    // included) — count it and degrade to a clean start.
     if (error.fault() != SnapshotFault::io) metrics.corrupt.add(1);
   }
 }

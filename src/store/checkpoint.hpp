@@ -14,7 +14,8 @@
 //
 // Failure handling, in order of preference:
 //   * missing snapshot         -> clean start (first run; not an error)
-//   * corrupt snapshot         -> clean start + store.snapshot.corrupt
+//   * corrupt snapshot, or one -> clean start + store.snapshot.corrupt
+//     of another format version
 //   * seed/provenance mismatch -> clean start + store.snapshot.mismatch
 //   * log disagrees with the   -> ReplayDivergenceError +
 //     re-run mid-replay           store.snapshot.divergence; the caller
@@ -28,11 +29,11 @@
 // history. A write is atomic across sections: a torn tail (crash
 // mid-append, bad CRC) is cut back to the last intact commit on open and
 // booked as store.snapshot.corrupt, so a journal and the state recorded
-// beside it never come apart. A fresh, mismatched, not
-// resumed or version-1 file is replaced by a full image through
-// write_file_atomic on the first write; dead bytes (superseded sets,
-// removed sections) are compacted away the same way once they outweigh the
-// live ones.
+// beside it never come apart. A fresh, mismatched, not resumed or
+// unreadable file (any other format version, the retired version-1 image
+// included) is replaced by a full image through write_file_atomic on the
+// first write; dead bytes (superseded sets, removed sections) are compacted
+// away the same way once they outweigh the live ones.
 #pragma once
 
 #include <algorithm>
@@ -62,7 +63,7 @@ class ReplayDivergenceError final : public std::runtime_error {
 };
 
 /// One checkpoint file bound to one run identity (seed + provenance).
-/// Construction loads and validates any existing snapshot or log; sections
+/// Construction loads and validates any existing log; sections
 /// carry over, so the file always describes the full state after a write.
 /// All loads/writes/corruption events land in the store.snapshot.* metrics.
 ///

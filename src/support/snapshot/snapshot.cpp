@@ -40,6 +40,19 @@ void put_u64(std::string& out, std::uint64_t v) {
     out.push_back(static_cast<char>((v >> shift) & 0xFFU));
 }
 
+/// Little-endian integer of `width` bytes at `pos`; the caller checks bounds.
+std::uint64_t get_le(std::string_view bytes, std::size_t pos,
+                     std::size_t width) {
+  std::uint64_t v = 0;
+  for (std::size_t i = width; i-- > 0;)
+    v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
+  return v;
+}
+
+std::uint32_t read_u32(std::string_view bytes, std::size_t pos) {
+  return static_cast<std::uint32_t>(get_le(bytes, pos, 4));
+}
+
 /// RAII FILE handle so every error path closes cleanly.
 struct File {
   std::FILE* f = nullptr;
@@ -62,8 +75,6 @@ const char* to_string(SnapshotFault fault) {
       return "truncated";
     case SnapshotFault::bad_crc:
       return "bad_crc";
-    case SnapshotFault::malformed:
-      return "malformed";
     case SnapshotFault::bad_section:
       return "bad_section";
   }
@@ -169,21 +180,9 @@ std::uint8_t SectionReader::u8() {
   return static_cast<std::uint8_t>(take(1)[0]);
 }
 
-std::uint32_t SectionReader::u32() {
-  const std::string_view b = take(4);
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-  return v;
-}
+std::uint32_t SectionReader::u32() { return read_u32(take(4), 0); }
 
-std::uint64_t SectionReader::u64() {
-  const std::string_view b = take(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i)
-    v = (v << 8) | static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-  return v;
-}
+std::uint64_t SectionReader::u64() { return get_le(take(8), 0, 8); }
 
 double SectionReader::f64() { return std::bit_cast<double>(u64()); }
 
@@ -303,44 +302,6 @@ void SnapshotWriter::mark_committed() {
   removed_.clear();
 }
 
-std::vector<std::string> SnapshotWriter::section_names() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const Entry& entry : sections_) names.push_back(entry.name);
-  return names;
-}
-
-std::string SnapshotWriter::encode() const {
-  // Header size is a pure function of the names, so compute it first and
-  // lay payloads out right behind it.
-  std::size_t header_size = sizeof kMagic + 4 + 8 + 4 + provenance_.size() + 4;
-  for (const Entry& entry : sections_)
-    header_size += 4 + entry.name.size() + 8 + 8 + 4;
-  header_size += 4;  // header crc
-
-  std::string out;
-  out.reserve(header_size);
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, SnapshotReader::kFormatVersion);
-  put_u64(out, seed_);
-  put_u32(out, static_cast<std::uint32_t>(provenance_.size()));
-  out.append(provenance_);
-  put_u32(out, static_cast<std::uint32_t>(sections_.size()));
-  std::size_t offset = header_size;
-  for (const Entry& entry : sections_) {
-    put_u32(out, static_cast<std::uint32_t>(entry.name.size()));
-    out.append(entry.name);
-    put_u64(out, offset);
-    put_u64(out, entry.writer.size());
-    put_u32(out, crc32(entry.writer.bytes()));
-    offset += entry.writer.size();
-  }
-  put_u32(out, crc32(out));
-  PITFALLS_ENSURE(out.size() == header_size, "header layout mismatch");
-  for (const Entry& entry : sections_) out.append(entry.writer.bytes());
-  return out;
-}
-
 std::string SnapshotWriter::encode_log() const {
   std::string out = encode_log_header(seed_, provenance_);
   std::vector<LogChange> changes;
@@ -352,7 +313,7 @@ std::string SnapshotWriter::encode_log() const {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotReader
+// Checkpoint log (format version 2)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -371,138 +332,9 @@ struct HeaderCursor {
     pos += n;
     return out;
   }
-  std::uint32_t u32() {
-    const std::string_view b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-      v = (v << 8) |
-          static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::string_view b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-      v = (v << 8) |
-          static_cast<unsigned char>(b[static_cast<std::size_t>(i)]);
-    return v;
-  }
+  std::uint32_t u32() { return read_u32(take(4), 0); }
+  std::uint64_t u64() { return get_le(take(8), 0, 8); }
 };
-
-}  // namespace
-
-SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
-  HeaderCursor cur{bytes_};
-  const std::string_view magic = cur.take(sizeof kMagic);
-  if (std::memcmp(magic.data(), kMagic, sizeof kMagic) != 0)
-    throw SnapshotError(SnapshotFault::bad_magic, "not a snapshot file");
-  version_ = cur.u32();
-  if (version_ != kFormatVersion)
-    throw SnapshotError(SnapshotFault::bad_version,
-                        "unsupported snapshot version " +
-                            std::to_string(version_));
-  seed_ = cur.u64();
-  provenance_ = std::string(cur.take(cur.u32()));
-  const std::uint32_t count = cur.u32();
-  // A table entry occupies at least 24 header bytes (empty name), so a
-  // count beyond remaining/24 is impossible in a well-formed file. Checking
-  // here (before reserve) keeps a corrupted count from forcing a huge
-  // allocation before the header CRC gets its chance to reject the file.
-  if (count > (bytes_.size() - cur.pos) / 24)
-    throw SnapshotError(SnapshotFault::truncated,
-                        "section table exceeds file size");
-
-  struct RawEntry {
-    std::string name;
-    std::uint64_t offset;
-    std::uint64_t size;
-    std::uint32_t crc;
-  };
-  std::vector<RawEntry> raw;
-  raw.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RawEntry entry;
-    entry.name = std::string(cur.take(cur.u32()));
-    entry.offset = cur.u64();
-    entry.size = cur.u64();
-    entry.crc = cur.u32();
-    raw.push_back(std::move(entry));
-  }
-  const std::size_t header_end = cur.pos;
-  const std::uint32_t stored_header_crc = cur.u32();
-  if (crc32(std::string_view(bytes_).substr(0, header_end)) !=
-      stored_header_crc)
-    throw SnapshotError(SnapshotFault::bad_crc, "header checksum mismatch");
-
-  // Sections must lie back-to-back behind the header and exactly cover the
-  // file — anything else (overlap, gap, trailing garbage) is malformed, and
-  // a file shorter than the declared payloads is truncated.
-  std::size_t expect = cur.pos;
-  for (const RawEntry& entry : raw) {
-    if (entry.offset != expect ||
-        entry.size > bytes_.size() - std::min(bytes_.size(), expect))
-      break;  // classified below by the total-size check
-    expect += entry.size;
-  }
-  std::size_t total = cur.pos;
-  for (const RawEntry& entry : raw) total += entry.size;
-  if (bytes_.size() < total)
-    throw SnapshotError(SnapshotFault::truncated,
-                        "snapshot payload truncated (" +
-                            std::to_string(bytes_.size()) + " of " +
-                            std::to_string(total) + " bytes)");
-  if (bytes_.size() != total || expect != total)
-    throw SnapshotError(SnapshotFault::malformed,
-                        "section table does not tile the file");
-
-  for (const RawEntry& entry : raw) {
-    if (entries_.count(entry.name) != 0)
-      throw SnapshotError(SnapshotFault::malformed,
-                          "duplicate section '" + entry.name + "'");
-    const std::string_view payload =
-        std::string_view(bytes_).substr(entry.offset, entry.size);
-    if (crc32(payload) != entry.crc)
-      throw SnapshotError(SnapshotFault::bad_crc, "section '" + entry.name +
-                                                      "' checksum mismatch");
-    entries_[entry.name] =
-        Entry{static_cast<std::size_t>(entry.offset),
-              static_cast<std::size_t>(entry.size)};
-    order_.push_back(entry.name);
-  }
-}
-
-bool SnapshotReader::has_section(const std::string& name) const {
-  return entries_.count(name) != 0;
-}
-
-std::string_view SnapshotReader::section_bytes(const std::string& name) const {
-  const auto it = entries_.find(name);
-  if (it == entries_.end())
-    throw SnapshotError(SnapshotFault::bad_section,
-                        "no section '" + name + "'");
-  return std::string_view(bytes_).substr(it->second.offset, it->second.size);
-}
-
-SectionReader SnapshotReader::section(const std::string& name) const {
-  return SectionReader(section_bytes(name), name);
-}
-
-std::vector<std::string> SnapshotReader::section_names() const {
-  return order_;
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint log (format version 2)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::uint32_t read_u32(std::string_view bytes, std::size_t pos) {
-  std::uint32_t v = 0;
-  for (std::size_t i = 4; i-- > 0;)
-    v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
-  return v;
-}
 
 /// Decode a commit body into its changes; false when it is not exactly a
 /// sequence of well-formed changes.
@@ -577,23 +409,17 @@ void append_log_commit(std::string& out,
     out[start + 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFFU);
 }
 
-std::uint32_t image_version(std::string_view bytes) {
+LogScan scan_log(std::string_view bytes) {
+  LogScan scan;
   HeaderCursor cur{bytes};
   const std::string_view magic = cur.take(sizeof kMagic);
   if (std::memcmp(magic.data(), kMagic, sizeof kMagic) != 0)
     throw SnapshotError(SnapshotFault::bad_magic, "not a snapshot file");
-  return cur.u32();
-}
-
-LogScan scan_log(std::string_view bytes) {
-  LogScan scan;
-  const std::uint32_t version = image_version(bytes);
+  const std::uint32_t version = cur.u32();
   if (version != kLogFormatVersion)
     throw SnapshotError(SnapshotFault::bad_version,
                         "not a checkpoint log (version " +
                             std::to_string(version) + ")");
-  HeaderCursor cur{bytes};
-  cur.take(sizeof kMagic + 4);
   scan.seed = cur.u64();
   scan.provenance = std::string(cur.take(cur.u32()));
   const std::size_t header_end = cur.pos;

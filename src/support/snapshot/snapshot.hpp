@@ -1,42 +1,13 @@
 // Crash-safe snapshot files — the binary format under the experiment store
 // (src/store, DESIGN.md §14).
 //
-// A snapshot is a single self-describing file:
-//
-//   magic "PITFSNAP"            8 bytes
-//   format version              u32 LE
-//   seed                        u64 LE   (seed provenance: the root seed)
-//   provenance string           u32 length + bytes (free-form, e.g. bench
-//                                argv + config fingerprint)
-//   section count               u32 LE
-//   section table               per entry: name (u32 length + bytes),
-//                                payload offset u64, payload size u64,
-//                                payload crc32 u32
-//   header crc32                u32 LE over every byte above
-//   section payloads            concatenated, in table order
-//
-// Every integer is little-endian regardless of host byte order. The header
-// CRC covers the magic, version, provenance and the whole table; each
-// payload carries its own CRC. A truncated file, a bit flip anywhere, a
-// wrong magic or an unknown version are all detected by SnapshotReader and
-// reported as a typed SnapshotError — corruption can degrade a run to a
-// clean restart (src/store policy) but can never be read as valid data.
-//
-// Atomicity: write_file_atomic() writes `path + ".tmp"`, fsyncs, then
-// renames over `path`. A crash at ANY byte offset leaves either the
-// complete old snapshot or the complete new one at `path`, never a torn
-// mix; a stray .tmp from a killed writer is ignored by readers and
-// overwritten by the next write. The kill-at-every-byte-offset torture test
-// in store_test.cpp pins this contract down.
-//
-// Checkpoint logs (format version 2) are the append-only sibling of the
-// image above, used by the experiment store so that persisting one more
-// change costs that change's bytes rather than the whole history:
+// A checkpoint is an append-only log (format version 2):
 //
 //   magic "PITFSNAP"            8 bytes
 //   format version              u32 LE (= 2)
-//   seed                        u64 LE
-//   provenance string           u32 length + bytes
+//   seed                        u64 LE   (seed provenance: the root seed)
+//   provenance string           u32 length + bytes (free-form, e.g. bench
+//                                argv + config fingerprint)
 //   header crc32                u32 LE over every byte above
 //   commits, to end of file     per commit: body length u32 LE,
 //                                crc32 u32 LE over the length bytes + body,
@@ -46,13 +17,25 @@
 //                                payload (u32 length + bytes; empty for
 //                                remove)
 //
+// Every integer is little-endian regardless of host byte order. Persisting
+// one more change costs that change's bytes rather than the whole history.
 // A commit is the unit of atomicity: replaying the commits in order
 // rebuilds the sections, and a reader keeps the longest prefix of intact
 // commits. A short, bad-CRC or malformed commit and everything after it is
 // a torn tail (scan_log), so a crash mid-append drops that commit's changes
-// to every section together, never some of them. Commits are appended
-// through AppendFile; a full image (fresh start, compaction) still goes
-// through write_file_atomic.
+// to every section together, never some of them. A wrong magic, an unknown
+// version (any other than 2) or a bad header CRC is a typed SnapshotError —
+// corruption can degrade a run to a clean restart (src/store policy) but
+// can never be read as valid data. Commits are appended through
+// AppendFile; a full image (fresh start, compaction) goes through
+// write_file_atomic.
+//
+// Atomicity: write_file_atomic() writes `path + ".tmp"`, fsyncs, then
+// renames over `path`. A crash at ANY byte offset leaves either the
+// complete old file or the complete new one at `path`, never a torn
+// mix; a stray .tmp from a killed writer is ignored by readers and
+// overwritten by the next write. The kill-at-every-byte-offset torture tests
+// in store_test.cpp pin this contract down.
 //
 // This header is one of the two sanctioned raw-file-I/O sites in the tree
 // (the other is src/obs); the `raw-io` lint rule forbids fopen/fstream
@@ -61,7 +44,6 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -74,15 +56,14 @@ namespace pitfalls::support::snapshot {
 
 /// Why a snapshot could not be read. `truncated` and `bad_crc` are the
 /// corruption cases the torture tests sweep; `bad_version` covers files
-/// from a future (or mangled) format revision.
+/// from any other (older, future or mangled) format revision.
 enum class SnapshotFault {
   io,           // file missing / unreadable / unwritable
   bad_magic,    // not a snapshot file at all
   bad_version,  // unknown format version
   truncated,    // file ends before the declared bytes
-  bad_crc,      // header or payload checksum mismatch
-  malformed,    // internal inconsistency (overlapping/out-of-range sections)
-  bad_section,  // a requested section is absent or its payload ran dry
+  bad_crc,      // header checksum mismatch
+  bad_section,  // a section's payload ran dry
 };
 
 const char* to_string(SnapshotFault fault);
@@ -211,12 +192,9 @@ struct LogScan {
   std::size_t valid_size = 0;  // end of the last intact commit
 };
 
-/// Format version of a snapshot or log image (SnapshotReader::kFormatVersion
-/// or kLogFormatVersion). Throws SnapshotError{bad_magic|truncated}.
-std::uint32_t image_version(std::string_view bytes);
-
 /// Validate a log header (magic, version, CRC — a bad header throws
-/// SnapshotError like SnapshotReader does) and collect commits up to the
+/// SnapshotError{bad_magic|bad_version|truncated|bad_crc}) and collect
+/// commits up to the
 /// first short, bad-CRC or malformed commit. Never throws for a bad commit:
 /// a torn tail is the expected shape of a crash mid-append. The returned
 /// views point into `bytes`.
@@ -248,9 +226,9 @@ class AppendFile {
   int fd_ = -1;
 };
 
-/// Builds a snapshot in memory (encode() is the image write_file_atomic
-/// stores). Section order is the order of first creation, so encode() is
-/// deterministic for a fixed call sequence (byte-identical snapshots for
+/// Builds a snapshot in memory (encode_log() is the image write_file_atomic
+/// stores). Section order is the order of first creation, so encode_log()
+/// is deterministic for a fixed call sequence (byte-identical snapshots for
 /// byte-identical runs). Sections are indexed by name, so lookups cost O(1)
 /// whatever the section count.
 ///
@@ -280,13 +258,10 @@ class SnapshotWriter {
 
   std::uint64_t seed() const { return seed_; }
   const std::string& provenance() const { return provenance_; }
-  std::vector<std::string> section_names() const;
 
   /// Apply one checkpoint-log change.
   void apply(const LogChange& change);
 
-  /// The complete file image (header + table + payloads + CRCs).
-  std::string encode() const;
   /// The sections as a compacted log image: header + one commit holding a
   /// `set` per section, in creation order (header only when empty).
   std::string encode_log() const;
@@ -322,42 +297,6 @@ class SnapshotWriter {
   // Logged sections removed since the last commit, with their sizes.
   std::vector<std::pair<std::string, std::size_t>> removed_;
   std::uint64_t committed_bytes_ = 0;
-};
-
-/// Parses and fully validates a snapshot image: magic, version, header CRC,
-/// table sanity, and every payload CRC up front. A SnapshotReader that
-/// constructed successfully is internally consistent.
-class SnapshotReader {
- public:
-  /// Validate an in-memory image (the unit the torture tests mutate).
-  explicit SnapshotReader(std::string bytes);
-
-  static constexpr std::uint32_t kFormatVersion = 1;
-
-  std::uint32_t version() const { return version_; }
-  std::uint64_t seed() const { return seed_; }
-  const std::string& provenance() const { return provenance_; }
-
-  bool has_section(const std::string& name) const;
-  /// Cursor over a section's payload; throws SnapshotError{bad_section}
-  /// when absent.
-  SectionReader section(const std::string& name) const;
-  /// Raw payload bytes (for forwarding sections into a new writer).
-  std::string_view section_bytes(const std::string& name) const;
-  std::vector<std::string> section_names() const;
-
- private:
-  struct Entry {
-    std::size_t offset;
-    std::size_t size;
-  };
-
-  std::string bytes_;
-  std::uint32_t version_ = 0;
-  std::uint64_t seed_ = 0;
-  std::string provenance_;
-  std::vector<std::string> order_;
-  std::map<std::string, Entry> entries_;
 };
 
 }  // namespace pitfalls::support::snapshot

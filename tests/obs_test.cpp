@@ -120,6 +120,27 @@ TEST(JsonParserTest, ThrowsOnMalformedInput) {
   EXPECT_THROW(JsonValue::parse("\"\\ude00\""), std::runtime_error);
 }
 
+TEST(JsonParserTest, NestingDeeperThanTheLimitIsAParseError) {
+  const auto nested = [](std::size_t depth, char open, char close) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(JsonValue::parse(nested(JsonValue::kMaxDepth, '[', ']')));
+  EXPECT_THROW(JsonValue::parse(nested(JsonValue::kMaxDepth + 1, '[', ']')),
+               std::runtime_error);
+  std::string objects;
+  for (std::size_t i = 0; i <= JsonValue::kMaxDepth; ++i) objects += "{\"a\":";
+  objects += "1" + std::string(JsonValue::kMaxDepth + 1, '}');
+  EXPECT_THROW(JsonValue::parse(objects), std::runtime_error);
+  // Far past the limit the parser stops at the limit rather than
+  // overflowing the stack.
+  try {
+    JsonValue::parse(std::string(200000, '['));
+    FAIL() << "deep input accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting"), std::string::npos);
+  }
+}
+
 // ----------------------------------------------------------------- metrics
 
 TEST(MetricsTest, HistogramSummaryOnEmptySingleAndSkewedData) {

@@ -263,8 +263,10 @@ TEST(RetryWithBackoff, SurvivesTransientDropsAndGivesUpCleanly) {
       return xs.size();
     }
   } always_drop;
-  EXPECT_THROW(query_with_retry(always_drop, BitVec(6), {.max_attempts = 4}),
-               TransientFaultError);
+  int response = 0;
+  EXPECT_EQ(MajorityVoteOracle::retry(always_drop, BitVec(6),
+                                      {.max_attempts = 4}, response),
+            ml::QueryStatus::dropped);
   EXPECT_EQ(always_drop.queries(), 4u);
 
   // A lossy-but-alive channel: bounded retry rides through.
@@ -272,8 +274,23 @@ TEST(RetryWithBackoff, SurvivesTransientDropsAndGivesUpCleanly) {
   FaultConfig config;
   config.drop_rate = 0.5;
   FaultyMembershipOracle faulty(inner, config, 31);
-  for (int i = 0; i < 100; ++i)
-    EXPECT_EQ(query_with_retry(faulty, BitVec(6), {.max_attempts = 16}), +1);
+  for (int i = 0; i < 100; ++i) {
+    response = 0;
+    EXPECT_EQ(MajorityVoteOracle::retry(faulty, BitVec(6),
+                                        {.max_attempts = 16}, response),
+              ml::QueryStatus::answered);
+    EXPECT_EQ(response, +1);
+  }
+
+  // A locked-down channel: the refusal comes back as a status, at once.
+  FunctionMembershipOracle capped_inner(one);
+  FaultConfig capped;
+  capped.query_budget = 0;
+  FaultyMembershipOracle locked(capped_inner, capped, 31);
+  EXPECT_EQ(MajorityVoteOracle::retry(locked, BitVec(6),
+                                      {.max_attempts = 16}, response),
+            ml::QueryStatus::refused);
+  EXPECT_EQ(capped_inner.queries(), 0u);
 }
 
 // --------------------------------------------- graceful degradation

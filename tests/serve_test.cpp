@@ -370,6 +370,46 @@ TEST(ServeDaemon, MalformedRequestsAreRejectedWithErrorLines) {
   EXPECT_EQ(u64_of(run.lines.back(), "jobs"), 2u);
 }
 
+TEST(ServeDaemon, HostileSizesAreRejectedAndTheDaemonKeepsServing) {
+  const std::string auth_rounds =
+      R"({"type":"job","id":"r","kind":"auth","token":1,"seed":1,"rounds":)";
+  // At the cap a spec still parses.
+  EXPECT_EQ(serve::JobSpec::parse(
+                obs::JsonValue::parse(
+                    auth_rounds + std::to_string(serve::JobSpec::kMaxCount) +
+                    "}"))
+                .rounds,
+            serve::JobSpec::kMaxCount);
+
+  const std::vector<std::string> input = {
+      std::string(200000, '['),  // nesting far past the parser's limit
+      attack_job("big_budget", 1, 1, 100000000000ULL, 8, ""),
+      attack_job("big_eval", 1, 1, 8, serve::JobSpec::kMaxCount + 1, ""),
+      auth_rounds + std::to_string(serve::JobSpec::kMaxCount + 1) + "}",
+      auth_job("ok1", 3, 5, 4),
+      kDrain,
+  };
+  serve::DaemonConfig config;
+  config.fleet = small_fleet();
+  const ServeRun run = run_daemon(config, input);
+  EXPECT_EQ(run.status, 0);
+  std::vector<std::string> errors;
+  for (const std::string& line : run.lines)
+    if (type_of(obs::JsonValue::parse(line)) == "error")
+      errors.push_back(str_of(line, "message"));
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_NE(errors[0].find("nesting"), std::string::npos) << errors[0];
+  EXPECT_NE(errors[1].find("\"budget\" exceeds"), std::string::npos)
+      << errors[1];
+  EXPECT_NE(errors[2].find("\"eval\" exceeds"), std::string::npos)
+      << errors[2];
+  EXPECT_NE(errors[3].find("\"rounds\" exceeds"), std::string::npos)
+      << errors[3];
+  // The daemon carried on: the next job ran and the stream drained.
+  EXPECT_FALSE(find_line(run.lines, "outcome", "ok1").empty());
+  EXPECT_EQ(type_of(obs::JsonValue::parse(run.lines.back())), "drained");
+}
+
 // ---------------------------------------------- termination and resume
 
 TEST(ServeDaemon, TerminationDrainFlushesJournalAndResumeReplaysOutcomes) {

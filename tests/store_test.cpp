@@ -1,5 +1,5 @@
-// Tests for the crash-safe experiment store (DESIGN.md §14): snapshot
-// format integrity (corruption torture sweeps), bit-exact codec round
+// Tests for the crash-safe experiment store (DESIGN.md §14): checkpoint
+// log format integrity (corruption torture sweeps), bit-exact codec round
 // trips, checkpoint sessions, oracle journal record/replay, and the
 // resume-determinism + budget-accounting contracts the benches rely on.
 #include <gtest/gtest.h>
@@ -67,15 +67,36 @@ BitVec make_bitvec(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// A small reference snapshot image shared by the corruption sweeps.
+// A small reference log image (one compacted commit).
 std::string reference_image() {
-  SnapshotWriter w(42, "store_test.v1");
+  SnapshotWriter w(42, "store_test.ref");
   SectionWriter& a = w.section("alpha");
   a.u32(7);
   a.str("payload");
   SectionWriter& b = w.section("beta");
   for (int i = 0; i < 32; ++i) b.u8(static_cast<std::uint8_t>(i));
-  return w.encode();
+  return w.encode_log();
+}
+
+// Section names of a compacted image, in the order its one commit sets them.
+std::vector<std::string> image_section_names(const std::string& image) {
+  const LogScan scan = scan_log(image);
+  std::vector<std::string> names;
+  for (const LogCommit& commit : scan.commits)
+    for (const LogChange& change : commit.changes)
+      names.emplace_back(change.name);
+  return names;
+}
+
+// The fault scan_log throws for `image`; fails the test if it throws none.
+SnapshotFault scan_fault(const std::string& image) {
+  try {
+    scan_log(image);
+  } catch (const SnapshotError& e) {
+    return e.fault();
+  }
+  ADD_FAILURE() << "scan_log accepted the image";
+  return SnapshotFault::io;
 }
 
 // ---------------------------------------------------------------- format
@@ -91,12 +112,19 @@ TEST(SnapshotFormat, RoundTripsSeedProvenanceAndSections) {
   s.str("hello");
   w.section("empty");
 
-  const SnapshotReader r(w.encode());
-  EXPECT_EQ(r.seed(), 9001u);
-  EXPECT_EQ(r.provenance(), "bench_x.v1.smoke=1");
-  EXPECT_EQ(r.section_names(), (std::vector<std::string>{"s", "empty"}));
+  const std::string image = w.encode_log();
+  const LogScan scan = scan_log(image);
+  EXPECT_EQ(scan.seed, 9001u);
+  EXPECT_EQ(scan.provenance, "bench_x.v1.smoke=1");
+  EXPECT_EQ(scan.valid_size, image.size());
+  ASSERT_EQ(scan.commits.size(), 1u);
+  const std::vector<LogChange>& changes = scan.commits[0].changes;
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_EQ(changes[0].name, "s");
+  EXPECT_EQ(changes[1].name, "empty");
+  for (const LogChange& change : changes) EXPECT_EQ(change.op, LogOp::set);
 
-  SectionReader cur = r.section("s");
+  SectionReader cur(changes[0].payload, "s");
   EXPECT_EQ(cur.u8(), 7u);
   EXPECT_EQ(cur.u32(), 0xDEADBEEFU);
   EXPECT_EQ(cur.u64(), 0x0123456789ABCDEFULL);
@@ -106,7 +134,7 @@ TEST(SnapshotFormat, RoundTripsSeedProvenanceAndSections) {
   EXPECT_TRUE(std::signbit(neg_zero));
   EXPECT_EQ(cur.str(), "hello");
   EXPECT_TRUE(cur.at_end());
-  EXPECT_TRUE(r.section("empty").at_end());
+  EXPECT_TRUE(SectionReader(changes[1].payload, "empty").at_end());
 }
 
 TEST(SnapshotFormat, EncodeIsDeterministic) {
@@ -129,51 +157,61 @@ TEST(SnapshotFormat, SectionLifecycle) {
 TEST(SnapshotFormat, RejectsWrongMagic) {
   std::string image = reference_image();
   image[0] = 'X';
-  try {
-    SnapshotReader r(image);
-    FAIL() << "bad magic accepted";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.fault(), SnapshotFault::bad_magic);
-  }
+  EXPECT_EQ(scan_fault(image), SnapshotFault::bad_magic);
 }
 
 TEST(SnapshotFormat, RejectsUnknownVersion) {
-  std::string image = reference_image();
-  image[8] = static_cast<char>(SnapshotReader::kFormatVersion + 1);
-  try {
-    SnapshotReader r(image);
-    FAIL() << "unknown version accepted";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.fault(), SnapshotFault::bad_version);
+  // Version 1 (the retired whole-image format) is as unknown as a future one.
+  for (const std::uint32_t version : {0U, 1U, kLogFormatVersion + 1}) {
+    std::string image = reference_image();
+    image[8] = static_cast<char>(version);
+    EXPECT_EQ(scan_fault(image), SnapshotFault::bad_version)
+        << "version " << version;
   }
 }
 
 TEST(SnapshotFormat, TruncationAtEveryByteOffsetIsDetected) {
   const std::string image = reference_image();
+  const std::size_t header = encode_log_header(42, "store_test.ref").size();
   for (std::size_t len = 0; len < image.size(); ++len) {
-    EXPECT_THROW(SnapshotReader(image.substr(0, len)), SnapshotError)
-        << "prefix of " << len << " bytes accepted";
+    const std::string prefix = image.substr(0, len);
+    if (len < header) {
+      EXPECT_EQ(scan_fault(prefix), SnapshotFault::truncated)
+          << "prefix of " << len << " bytes";
+      continue;
+    }
+    // The header survives; the cut commit is a torn tail, never data.
+    const LogScan scan = scan_log(prefix);
+    EXPECT_TRUE(scan.commits.empty()) << "prefix of " << len << " bytes";
+    EXPECT_EQ(scan.valid_size, header) << "prefix of " << len << " bytes";
   }
-  EXPECT_NO_THROW(SnapshotReader{image});
-  // Trailing garbage is corruption too, not silently ignored.
-  EXPECT_THROW(SnapshotReader(image + "x"), SnapshotError);
+  EXPECT_EQ(scan_log(image).commits.size(), 1u);
+  // Trailing garbage is a torn tail too, not silently part of the log.
+  const std::string garbage = image + "x";
+  EXPECT_EQ(scan_log(garbage).valid_size, image.size());
 }
 
 TEST(SnapshotFormat, BitFlipAtEveryByteOffsetIsDetected) {
   const std::string image = reference_image();
+  const std::size_t header = encode_log_header(42, "store_test.ref").size();
   for (std::size_t i = 0; i < image.size(); ++i) {
     std::string mutated = image;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x20);
-    EXPECT_THROW(SnapshotReader{mutated}, SnapshotError)
-        << "bit flip at byte " << i << " accepted";
+    if (i < header) {
+      EXPECT_THROW(scan_log(mutated), SnapshotError)
+          << "bit flip at byte " << i << " accepted";
+      continue;
+    }
+    const LogScan scan = scan_log(mutated);
+    EXPECT_TRUE(scan.commits.empty()) << "bit flip at byte " << i;
+    EXPECT_EQ(scan.valid_size, header) << "bit flip at byte " << i;
   }
 }
 
 TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
-  SnapshotWriter w(1, "p");
-  w.section("s").u32(5);
-  const SnapshotReader r(w.encode());
-  SectionReader cur = r.section("s");
+  SectionWriter w;
+  w.u32(5);
+  SectionReader cur(w.bytes(), "s");
   EXPECT_EQ(cur.u32(), 5u);
   try {
     cur.u8();
@@ -182,21 +220,10 @@ TEST(SnapshotFormat, SectionReaderNeverReadsPastTheEnd) {
     EXPECT_EQ(e.fault(), SnapshotFault::bad_section);
   }
   // A length-prefixed string whose declared length exceeds the payload.
-  SnapshotWriter w2(1, "p");
-  w2.section("s").u32(1000);
-  const SnapshotReader r2(w2.encode());
-  SectionReader cur2 = r2.section("s");
+  SectionWriter w2;
+  w2.u32(1000);
+  SectionReader cur2(w2.bytes(), "s");
   EXPECT_THROW(cur2.str(), SnapshotError);
-}
-
-TEST(SnapshotFormat, MissingSectionIsATypedError) {
-  const SnapshotReader r(reference_image());
-  try {
-    r.section("nope");
-    FAIL() << "missing section returned";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.fault(), SnapshotFault::bad_section);
-  }
 }
 
 TEST(SnapshotFormat, AtomicWriteReplacesAndCleansUp) {
@@ -218,6 +245,7 @@ TEST(SnapshotFormat, StrayTmpFromAKilledWriterIsHarmless) {
   write_file_atomic(file.path() + ".tm", "partial gar");  // any bytes
   std::rename((file.path() + ".tm").c_str(), (file.path() + ".tmp").c_str());
   EXPECT_EQ(read_file_bytes(file.path()), image);
+  EXPECT_EQ(scan_log(read_file_bytes(file.path())).valid_size, image.size());
   write_file_atomic(file.path(), "fresh");
   EXPECT_EQ(read_file_bytes(file.path()), "fresh");
 }
@@ -492,8 +520,11 @@ std::map<std::string, std::string> replayed_state(const LogScan& scan,
   for (std::size_t i = 0; i < count; ++i)
     for (const LogChange& change : scan.commits[i].changes) w.apply(change);
   std::map<std::string, std::string> state;
-  for (const std::string& name : w.section_names())
-    state[name] = w.find_section(name)->bytes();
+  for (std::size_t i = 0; i < count; ++i)
+    for (const LogChange& change : scan.commits[i].changes)
+      if (const SectionWriter* section =
+              w.find_section(std::string(change.name)))
+        state[std::string(change.name)] = section->bytes();
   return state;
 }
 
@@ -590,10 +621,13 @@ TEST(CheckpointLog, BitFlipAtEveryOffsetResumesTheCommitsBeforeIt) {
     std::string mutated = image;
     mutated[i] = static_cast<char>(mutated[i] ^ (1 << (i % 8)));
     // A flip in the header loses everything; a flip inside commit k keeps
-    // exactly the k commits before it.
+    // exactly the k commits before it. Either way it is booked once.
+    const std::uint64_t corrupt0 = counter_value("store.snapshot.corrupt");
     expect_resumes_prefix(file.path(), mutated, full,
                           i < header ? 0 : commit,
                           "bit flip at byte " + std::to_string(i));
+    EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1)
+        << "bit flip at byte " << i;
   }
 }
 
@@ -646,33 +680,56 @@ TEST(CheckpointLog, CompactionRewritesOnlyTheLiveSections) {
   EXPECT_TRUE(keep.at_end());
 }
 
-TEST(CheckpointLog, VersionOneSnapshotResumesAndMigratesToTheLog) {
+// A whole-image PITFSNAP version-1 snapshot, the format before the log:
+// header (magic, version, seed, provenance, section table) + header crc32,
+// then the payloads. One section, `name` holding `payload`.
+std::string version_one_image(std::uint64_t seed, const std::string& provenance,
+                              const std::string& name,
+                              const std::string& payload) {
+  SectionWriter w;
+  w.raw("PITFSNAP");
+  w.u32(1);
+  w.u64(seed);
+  w.str(provenance);
+  w.u32(1);  // section count
+  w.str(name);
+  w.u64(w.size() + 8 + 8 + 4 + 4);  // payload offset: right after the header
+  w.u64(payload.size());
+  w.u32(crc32(payload));
+  w.u32(crc32(w.bytes()));
+  w.raw(payload);
+  return w.bytes();
+}
+
+TEST(CheckpointLog, VersionOneSnapshotStartsCleanAndBecomesALog) {
   TempSnapshot file("log_v1");
-  {
-    SnapshotWriter v1(7, "p");
-    v1.section("cell.0.outcome").str("done");
-    v1.section("cell.1.log").u32(5);
-    write_file_atomic(file.path(), v1.encode());
-  }
-  ASSERT_EQ(image_version(read_file_bytes(file.path())),
-            SnapshotReader::kFormatVersion);
+  SectionWriter done;
+  done.str("done");
+  write_file_atomic(file.path(),
+                    version_one_image(7, "p", "cell.0.outcome", done.bytes()));
+  EXPECT_EQ(scan_fault(read_file_bytes(file.path())),
+            SnapshotFault::bad_version);
+
+  const std::uint64_t corrupt0 = counter_value("store.snapshot.corrupt");
   const std::uint64_t loads0 = counter_value("store.snapshot.loads");
   {
     store::CheckpointSession session(file.path(), 7, "p", true);
-    ASSERT_TRUE(session.resumed());
-    EXPECT_EQ(counter_value("store.snapshot.loads"), loads0 + 1);
-    EXPECT_EQ(session.reader("cell.0.outcome").str(), "done");
+    EXPECT_FALSE(session.resumed());
+    EXPECT_FALSE(session.has_section("cell.0.outcome"));
+    EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1);
+    EXPECT_EQ(counter_value("store.snapshot.loads"), loads0);
     session.section("cell.1.log").u32(6);
     session.flush();
   }
-  EXPECT_EQ(image_version(read_file_bytes(file.path())), kLogFormatVersion);
+  const std::string image = read_file_bytes(file.path());
+  EXPECT_EQ(scan_log(image).valid_size, image.size());
   store::CheckpointSession session(file.path(), 7, "p", true);
   ASSERT_TRUE(session.resumed());
-  EXPECT_EQ(session.reader("cell.0.outcome").str(), "done");
+  EXPECT_FALSE(session.has_section("cell.0.outcome"));
   SectionReader log = session.reader("cell.1.log");
-  EXPECT_EQ(log.u32(), 5u);
   EXPECT_EQ(log.u32(), 6u);
   EXPECT_TRUE(log.at_end());
+  EXPECT_EQ(counter_value("store.snapshot.corrupt"), corrupt0 + 1);
 }
 
 TEST(CheckpointLog, WritesCountDurableCommits) {
@@ -719,8 +776,7 @@ TEST(SnapshotFormat, SectionIndexKeepsCreationOrder) {
   for (const std::string& name : names)
     if (name != "10") expected.push_back(name);
   expected.push_back("10");
-  EXPECT_EQ(w.section_names(), expected);
-  EXPECT_EQ(SnapshotReader(w.encode()).section_names(), expected);
+  EXPECT_EQ(image_section_names(w.encode_log()), expected);
   EXPECT_EQ(w.find_section("missing"), nullptr);
 }
 
